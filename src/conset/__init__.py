@@ -7,243 +7,28 @@ tuples, and the top/bottom/middle fusion calculus — plus an expression
 language and CLI over all of it.
 """
 
-from .errors import (
-    AmbiguousWitness,
-    ArityMismatch,
-    CalculusError,
-    EmptyHasNoMaximal,
-    EvalError,
-    ExprSyntaxError,
-    IndexOutOfRange,
-    MalformedText,
-    NoneFound,
-    NoSuchPosition,
-    NotABottom,
-    NotANumeral,
-    NotAPermutation,
-    NotAStructure,
-    NotUnique,
-    SearchBudgetExceeded,
-    TerminalMismatch,
-    Unrealizable,
-)
-from .kernel import (
-    EMPTY,
-    SetHandle,
-    cardinality,
-    constituent_set,
-    constituents,
-    elements,
-    empty,
-    instance_count,
-    is_constituent,
-    make_set,
-    parse,
-    to_text,
-    union,
-)
-from .algebra import (
-    compose,
-    compose_all,
-    has_bottom,
-    is_top,
-    lcc,
-    lcc_set,
-    map_union,
-    max_with_bottom,
-    max_with_bottom_unique,
-    maximal_constituents,
-    maximal_elements,
-    remove_bottom,
-    remove_top,
-    replace,
-    unique_maximum,
-    with_top,
-    with_top_unique,
-)
-from .structure import (
-    POINT,
-    IsoWitness,
-    StructureGraph,
-    canonical_cert,
-    chain_graph,
-    check_graph,
-    graph_from_json,
-    graph_product,
-    graph_sum,
-    isomorphic,
-    simplest_set,
-    structure_of,
-    to_dot,
-    to_json,
-)
-from .numerals import (
-    add_vn,
-    add_zermelo,
-    as_vn,
-    as_zermelo,
-    is_vn,
-    is_zermelo,
-    mul_structural,
-    vn,
-    zermelo,
-)
-from .tuples import (
-    PairDecode,
-    PairDiagnosis,
-    constituent_at,
-    contains_position,
-    decode_kuratowski,
-    diamond,
-    get_at,
-    kuratowski_pair,
-    kuratowski_top,
-    make_tuple,
-    position,
-    position_path,
-)
-from .fusion import (
-    DEFAULT_BUDGET,
-    BottomStructure,
-    MiddleStructure,
-    TopStructure,
-    bottom_structure,
-    bottom_terminal,
-    close,
-    fuse,
-    fuse_middle,
-    fuse_with_terminals,
-    has_bottom_structure,
-    has_top_structure,
-    match_terminals,
-    middle,
-    middle_identity,
-    middle_permutation,
-    middle_structure,
-    top_structure,
-    validate_bottom,
-    validate_middle,
-    validate_top,
-)
+from .errors import *
+from .kernel import *
+from .algebra import *
+from .structure import *
+from .numerals import *
+from .tuples import *
+from .fusion import *
 from .corpus import generate as corpus_generate
 from .expr import evaluate
+from . import algebra, errors, fusion, kernel, numerals, structure, tuples
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "CalculusError",
-    "MalformedText",
-    "NotABottom",
-    "AmbiguousWitness",
-    "NotUnique",
-    "NoneFound",
-    "EmptyHasNoMaximal",
-    "NotANumeral",
-    "Unrealizable",
-    "NoSuchPosition",
-    "NotAStructure",
-    "TerminalMismatch",
-    "ArityMismatch",
-    "NotAPermutation",
-    "IndexOutOfRange",
-    "SearchBudgetExceeded",
-    "EvalError",
-    "ExprSyntaxError",
-    # kernel
-    "SetHandle",
-    "EMPTY",
-    "empty",
-    "make_set",
-    "parse",
-    "to_text",
-    "elements",
-    "cardinality",
-    "union",
-    "constituents",
-    "constituent_set",
-    "is_constituent",
-    "instance_count",
-    # algebra
-    "replace",
-    "compose",
-    "compose_all",
-    "has_bottom",
-    "is_top",
-    "remove_bottom",
-    "remove_top",
-    "maximal_elements",
-    "maximal_constituents",
-    "unique_maximum",
-    "lcc",
-    "lcc_set",
-    "max_with_bottom",
-    "max_with_bottom_unique",
-    "with_top",
-    "with_top_unique",
-    "map_union",
-    # structure
-    "POINT",
-    "StructureGraph",
-    "IsoWitness",
-    "structure_of",
-    "canonical_cert",
-    "isomorphic",
-    "simplest_set",
-    "graph_sum",
-    "graph_product",
-    "chain_graph",
-    "check_graph",
-    "to_dot",
-    "to_json",
-    "graph_from_json",
-    # numerals
-    "zermelo",
-    "vn",
-    "as_zermelo",
-    "as_vn",
-    "is_zermelo",
-    "is_vn",
-    "add_zermelo",
-    "add_vn",
-    "mul_structural",
-    # tuples
-    "diamond",
-    "position",
-    "position_path",
-    "make_tuple",
-    "contains_position",
-    "constituent_at",
-    "get_at",
-    "kuratowski_pair",
-    "kuratowski_top",
-    "PairDiagnosis",
-    "PairDecode",
-    "decode_kuratowski",
-    # fusion
-    "TopStructure",
-    "BottomStructure",
-    "MiddleStructure",
-    "top_structure",
-    "bottom_structure",
-    "middle_structure",
-    "validate_top",
-    "validate_bottom",
-    "validate_middle",
-    "bottom_terminal",
-    "match_terminals",
-    "fuse",
-    "fuse_with_terminals",
-    "middle",
-    "middle_identity",
-    "middle_permutation",
-    "fuse_middle",
-    "close",
-    "has_top_structure",
-    "has_bottom_structure",
-    "DEFAULT_BUDGET",
-    # corpus / expressions
+    *errors.__all__,
+    *kernel.__all__,
+    *algebra.__all__,
+    *structure.__all__,
+    *numerals.__all__,
+    *tuples.__all__,
+    *fusion.__all__,
     "corpus_generate",
     "evaluate",
 ]

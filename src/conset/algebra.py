@@ -22,6 +22,7 @@ from .kernel import (
     SetHandle,
     constituent_set,
     constituents,
+    fold,
     is_constituent,
     make_set,
 )
@@ -51,18 +52,7 @@ def replace(x: SetHandle, y: SetHandle, z: SetHandle) -> SetHandle:
     """x with every occurrence of y replaced by z, judged on original subterms."""
     if not is_constituent(y, x):
         return x
-    memo: dict[SetHandle, SetHandle] = {}
-
-    def rec(w: SetHandle) -> SetHandle:
-        if w is y:
-            return z
-        got = memo.get(w)
-        if got is None:
-            got = make_set([rec(c) for c in w.children])
-            memo[w] = got
-        return got
-
-    return rec(x)
+    return fold(x, lambda w, kids: make_set(kids), {y: z})
 
 
 def compose(x: SetHandle, y: SetHandle) -> SetHandle:
@@ -186,13 +176,4 @@ def with_top_unique(a: SetHandle, b: SetHandle) -> SetHandle:
 
 def map_union(x: SetHandle, y: SetHandle) -> SetHandle:
     """Rebuild x unioning y into every subterm along the way."""
-    memo: dict[SetHandle, SetHandle] = {}
-
-    def rec(w: SetHandle) -> SetHandle:
-        got = memo.get(w)
-        if got is None:
-            got = make_set([rec(c) for c in w.children] + list(y.children))
-            memo[w] = got
-        return got
-
-    return rec(x)
+    return fold(x, lambda w, kids: make_set(kids + list(y.children)), {})

@@ -85,7 +85,6 @@ def _scheme_of(h: SetHandle, requested: str, out) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    sys.setrecursionlimit(10_000)
     parser = argparse.ArgumentParser(
         prog="conset",
         description="A calculus of hereditarily finite sets: canonical text, "

@@ -2,6 +2,27 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CalculusError",
+    "MalformedText",
+    "NotABottom",
+    "AmbiguousWitness",
+    "NotUnique",
+    "NoneFound",
+    "EmptyHasNoMaximal",
+    "NotANumeral",
+    "Unrealizable",
+    "NoSuchPosition",
+    "NotAStructure",
+    "TerminalMismatch",
+    "ArityMismatch",
+    "NotAPermutation",
+    "IndexOutOfRange",
+    "SearchBudgetExceeded",
+    "EvalError",
+    "ExprSyntaxError",
+]
+
 
 class CalculusError(Exception):
     """Base class for every domain error raised by this package."""

@@ -24,6 +24,7 @@ x(y->z), or — with commas — composition with the tuple of the entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Generator
 
 from . import fusion
 from .algebra import compose, replace
@@ -134,7 +135,7 @@ class _Parser:
                     f" (offset {name_tok.pos})"
                 )
             self.expect("=", "'=' in let-binding")
-            value = self.parse_expr()
+            value = yield self.parse_expr()
             if self.peek().kind not in ("newline", ";", "eof"):
                 t = self.peek()
                 raise ExprSyntaxError(
@@ -144,7 +145,7 @@ class _Parser:
             self.skip_separators()
         if self.peek().kind == "eof":
             raise ExprSyntaxError("the program must end with an expression")
-        final = self.parse_expr()
+        final = yield self.parse_expr()
         self.skip_separators()
         t = self.peek()
         if t.kind != "eof":
@@ -154,30 +155,30 @@ class _Parser:
         return bindings, final
 
     def parse_expr(self):
-        units = [self.parse_unit()]
+        units = [(yield self.parse_unit())]
         while self.peek().kind in _ATOM_STARTS:
-            units.append(self.parse_unit())
+            units.append((yield self.parse_unit()))
         node = units[-1]
         for u in reversed(units[:-1]):
             node = ("compose", u[1], u, node)
         return node
 
     def parse_unit(self):
-        node = self.parse_atom()
+        node = yield self.parse_atom()
         while self.peek().kind == "(":
             open_tok = self.next()
-            first = self.parse_expr()
+            first = yield self.parse_expr()
             t = self.peek()
             if t.kind == "arrow":
                 self.next()
-                repl = self.parse_expr()
+                repl = yield self.parse_expr()
                 self.expect(")", "')' closing replacement")
                 node = ("replace", open_tok.pos, node, first, repl)
             elif t.kind == ",":
                 entries = [first]
                 while self.peek().kind == ",":
                     self.next()
-                    entries.append(self.parse_expr())
+                    entries.append((yield self.parse_expr()))
                 self.expect(")", "')' closing tuple argument")
                 node = (
                     "compose",
@@ -196,10 +197,10 @@ class _Parser:
             self.next()
             items = []
             if self.peek().kind != "}":
-                items.append(self.parse_expr())
+                items.append((yield self.parse_expr()))
                 while self.peek().kind == ",":
                     self.next()
-                    items.append(self.parse_expr())
+                    items.append((yield self.parse_expr()))
             self.expect("}", "'}' closing set display")
             return ("braces", t.pos, items)
         if t.kind == "nat":
@@ -210,7 +211,7 @@ class _Parser:
             return ("vnat", t.pos, int(t.text))
         if t.kind == "(":
             self.next()
-            first = self.parse_expr()
+            first = yield self.parse_expr()
             if self.peek().kind != ",":
                 raise ExprSyntaxError(
                     f"a parenthesized expression must be a tuple of two or more"
@@ -219,15 +220,15 @@ class _Parser:
             entries = [first]
             while self.peek().kind == ",":
                 self.next()
-                entries.append(self.parse_expr())
+                entries.append((yield self.parse_expr()))
             self.expect(")", "')' closing tuple")
             return ("tuple", t.pos, entries)
         if t.kind == "[":
             self.next()
-            entries = [self.parse_expr()]
+            entries = [(yield self.parse_expr())]
             while self.peek().kind == ",":
                 self.next()
-                entries.append(self.parse_expr())
+                entries.append((yield self.parse_expr()))
             self.expect("]", "']' closing middle structure")
             suffix = self.peek()
             if suffix.kind != "ident" or suffix.text != "M":
@@ -253,15 +254,15 @@ class _Parser:
             if word in ("fuse", "kpair"):
                 self.next()
                 self.expect("(", f"'(' after {word}")
-                a = self.parse_expr()
+                a = yield self.parse_expr()
                 self.expect(",", f"',' between {word} arguments")
-                b = self.parse_expr()
+                b = yield self.parse_expr()
                 self.expect(")", f"')' closing {word}")
                 return (word, t.pos, a, b)
             if word == "close":
                 self.next()
                 self.expect("(", "'(' after close")
-                a = self.parse_expr()
+                a = yield self.parse_expr()
                 self.expect(")", "')' closing close")
                 return ("close", t.pos, a)
             if word in RESERVED:
@@ -276,11 +277,37 @@ class _Parser:
         )
 
 
-def _eval(node, env: dict[str, SetHandle]) -> SetHandle:
+def _run(gen: Generator):
+    """Run a parse or evaluation step that yields the steps it depends on.
+
+    Each yielded step runs to completion and its result is sent back, so
+    nesting depth costs list entries here, not interpreter frames.  An
+    exception leaves straight through: the step that raised it has already
+    wrapped it, and the steps waiting on it would only re-raise it.
+    """
+    stack, value = [gen], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
+def _eval_all(nodes, env: dict[str, SetHandle]):
+    vals = []
+    for e in nodes:
+        vals.append((yield _eval(e, env)))
+    return vals
+
+
+def _eval(node, env: dict[str, SetHandle]):
     kind, pos = node[0], node[1]
     try:
         if kind == "braces":
-            return make_set([_eval(e, env) for e in node[2]])
+            return make_set((yield from _eval_all(node[2], env)))
         if kind == "nat":
             return zermelo(node[2])
         if kind == "vnat":
@@ -290,21 +317,19 @@ def _eval(node, env: dict[str, SetHandle]) -> SetHandle:
         if kind == "pospath":
             return position_path(node[2])
         if kind == "tuple":
-            return make_tuple([_eval(e, env) for e in node[2]])
+            return make_tuple((yield from _eval_all(node[2], env)))
         if kind == "middle":
-            return fusion.middle([_eval(e, env) for e in node[2]]).set
+            return fusion.middle((yield from _eval_all(node[2], env))).set
         if kind == "fuse":
-            return fusion.fuse(_eval(node[2], env), _eval(node[3], env))
+            return fusion.fuse(*(yield from _eval_all(node[2:], env)))
         if kind == "close":
-            return fusion.close(_eval(node[2], env))
+            return fusion.close((yield _eval(node[2], env)))
         if kind == "kpair":
-            return kuratowski_pair(_eval(node[2], env), _eval(node[3], env))
+            return kuratowski_pair(*(yield from _eval_all(node[2:], env)))
         if kind == "compose":
-            return compose(_eval(node[2], env), _eval(node[3], env))
+            return compose(*(yield from _eval_all(node[2:], env)))
         if kind == "replace":
-            return replace(
-                _eval(node[2], env), _eval(node[3], env), _eval(node[4], env)
-            )
+            return replace(*(yield from _eval_all(node[2:], env)))
         if kind == "name":
             name = node[2]
             if name not in env:
@@ -319,8 +344,8 @@ def _eval(node, env: dict[str, SetHandle]) -> SetHandle:
 
 def evaluate(source: str, env: dict[str, SetHandle] | None = None) -> SetHandle:
     """Run a program: let-bindings followed by one expression."""
-    bindings, final = _Parser(_tokenize(source)).parse_program()
+    bindings, final = _run(_Parser(_tokenize(source)).parse_program())
     scope = dict(env or {})
     for name, _pos, value in bindings:
-        scope[name] = _eval(value, scope)
-    return _eval(final, scope)
+        scope[name] = _run(_eval(value, scope))
+    return _run(_eval(final, scope))

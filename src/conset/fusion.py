@@ -39,6 +39,7 @@ from .kernel import (
     SetHandle,
     constituent_set,
     constituents,
+    fold,
     is_constituent,
     make_set,
 )
@@ -409,18 +410,10 @@ def has_bottom_structure(
     m = bv.arity
     terms = [bottom_terminal(bv, n) for n in range(m)]
     spent = 0
-    memo: dict[SetHandle, list[SetHandle]] = {}
 
-    def preimages(w: SetHandle) -> list[SetHandle]:
+    def preimages(w: SetHandle, child_opts: list[list[SetHandle]]) -> list[SetHandle]:
         nonlocal spent
-        got = memo.get(w)
-        if got is not None:
-            return got
-        out: list[SetHandle] = []
-        for n in range(m):
-            if terms[n] is w:
-                out.append(position(n))
-        child_opts = [preimages(c) for c in w.children]
+        out = [position(n) for n in range(m) if terms[n] is w]
         for choice in itertools.product(*child_opts):
             spent += 1
             if spent > budget:
@@ -428,11 +421,9 @@ def has_bottom_structure(
                     f"stopped after {budget} candidate subterms"
                 )
             out.append(make_set(choice))
-        out = list(dict.fromkeys(out))
-        memo[w] = out
-        return out
+        return list(dict.fromkeys(out))
 
-    for candidate in preimages(x):
+    for candidate in fold(x, preimages, {}):
         tv = validate_top(candidate)
         if tv is None or tv.arity != m:
             continue

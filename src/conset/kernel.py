@@ -11,12 +11,13 @@ every equality test in the package is a single pointer comparison.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .errors import MalformedText
 
 __all__ = [
     "SetHandle",
+    "EMPTY",
     "empty",
     "make_set",
     "parse",
@@ -28,7 +29,6 @@ __all__ = [
     "constituent_set",
     "constituents",
     "instance_count",
-    "shortlex_key",
 ]
 
 
@@ -61,10 +61,6 @@ class SetHandle:
 
 _table: dict[tuple[int, ...], SetHandle] = {}
 _ids = itertools.count()
-
-
-def shortlex_key(text: str) -> tuple[int, str]:
-    return (len(text), text)
 
 
 def make_set(elems: Iterable[SetHandle]) -> SetHandle:
@@ -146,35 +142,48 @@ def union(a: SetHandle, b: SetHandle) -> SetHandle:
     return make_set(a.children + b.children)
 
 
-def _postorder(h: SetHandle) -> list[SetHandle]:
-    """Distinct sub-handles of h, children before parents."""
-    order: list[SetHandle] = []
-    seen: set[SetHandle] = set()
-    stack: list[tuple[SetHandle, bool]] = [(h, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for c in node.children:
-            if c not in seen:
-                stack.append((c, False))
-    return order
+T = TypeVar("T")
+
+
+def fold(
+    h: SetHandle,
+    f: Callable[[SetHandle, list[T]], T],
+    memo: dict[SetHandle, T],
+) -> T:
+    """f(node, [values of node's children]) once per distinct subterm of h.
+
+    Children are folded before their parents, depth first in element order.
+    Nodes already in memo are leaves: their value is taken as is and they are
+    not descended into.  Every computed value is stored in memo, and memo[h]
+    is returned.  The walk keeps its own stack, so depth is not limited by
+    the interpreter's recursion limit.
+    """
+    if h not in memo:
+        stack = [(h, iter(h.children))]
+        while stack:
+            node, todo = stack[-1]
+            for c in todo:
+                if c not in memo:
+                    stack.append((c, iter(c.children)))
+                    break
+            else:
+                stack.pop()
+                memo[node] = f(node, [memo[c] for c in node.children])
+    return memo[h]
+
+
+def _cache_constituents(
+    node: SetHandle, kids: list[frozenset[SetHandle]]
+) -> frozenset[SetHandle]:
+    if node._constituents is None:
+        node._constituents = frozenset({node}.union(*kids))
+    return node._constituents
 
 
 def constituent_set(h: SetHandle) -> frozenset[SetHandle]:
     """All constituents of h (reflexive), as a frozenset of handles."""
     if h._constituents is None:
-        for node in _postorder(h):
-            if node._constituents is None:
-                acc: set[SetHandle] = {node}
-                for c in node.children:
-                    acc |= c._constituents  # children resolved by postorder
-                node._constituents = frozenset(acc)
+        fold(h, _cache_constituents, {})
     return h._constituents
 
 
@@ -188,10 +197,14 @@ def is_constituent(x: SetHandle, y: SetHandle) -> bool:
     return x is y or x in constituent_set(y)
 
 
+def _cache_instances(node: SetHandle, kids: list[int]) -> int:
+    if node._instances is None:
+        node._instances = 1 + sum(kids)
+    return node._instances
+
+
 def instance_count(h: SetHandle) -> int:
     """Number of subterm occurrences in h: one for h plus all element instances."""
     if h._instances is None:
-        for node in _postorder(h):
-            if node._instances is None:
-                node._instances = 1 + sum(c._instances for c in node.children)
+        fold(h, _cache_instances, {})
     return h._instances

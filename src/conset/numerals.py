@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .algebra import compose, map_union
 from .errors import NotANumeral
-from .kernel import EMPTY, SetHandle, make_set
+from .kernel import EMPTY, SetHandle, fold, make_set
 from .structure import graph_product, simplest_set, structure_of
 
 __all__ = [
@@ -67,21 +67,13 @@ def as_vn(h: SetHandle) -> int | None:
     Walks the structure instead of rebuilding candidate numerals, so junk
     input of any size is rejected cheaply.
     """
-    memo: dict[SetHandle, int | None] = {EMPTY: 0}
+    return fold(h, _vn_value, {EMPTY: 0})
 
-    def value(w: SetHandle) -> int | None:
-        if w in memo:
-            return memo[w]
-        vals = [value(c) for c in w.children]
-        out: int | None
-        if None in vals or sorted(vals) != list(range(len(vals))):  # type: ignore[type-var]
-            out = None
-        else:
-            out = len(vals)
-        memo[w] = out
-        return out
 
-    return value(h)
+def _vn_value(w: SetHandle, vals: list[int | None]) -> int | None:
+    if None in vals or sorted(vals) != list(range(len(vals))):  # type: ignore[type-var]
+        return None
+    return len(vals)
 
 
 def is_zermelo(h: SetHandle) -> bool:

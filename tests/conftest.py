@@ -2,11 +2,25 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 from conset import constituents
 from conset.corpus import generate
+
+
+@pytest.fixture(scope="class")
+def default_recursion_limit():
+    """Pin the interpreter's default recursion limit, restoring the old one after.
+
+    The library must never need more; pinning it keeps a limit raised by code
+    that ran earlier in the test run from hiding a deep Python recursion.
+    """
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
 
 
 @pytest.fixture(scope="session")

@@ -470,6 +470,19 @@ class TestDecompositionQueries:
         with pytest.raises(SearchBudgetExceeded):
             has_bottom_structure(fuse(grouping_top(), b), b, budget=1)
 
+    def test_smallest_answering_budget(self):
+        # One unit per candidate, so the cheapest budget that answers is the
+        # exact count a search spends; each fixed instance pins its own.
+        pair = kuratowski_pair(Z(3), vn(3))
+        assert has_top_structure(kuratowski_top(), pair, budget=34)
+        with pytest.raises(SearchBudgetExceeded):
+            has_top_structure(kuratowski_top(), pair, budget=33)
+        b = sample_bottom(Z(1), Z(2), vn(2))
+        x = fuse(grouping_top(), b)
+        assert has_bottom_structure(x, b, budget=33)
+        with pytest.raises(SearchBudgetExceeded):
+            has_bottom_structure(x, b, budget=32)
+
     def test_nonzero_offset_rejected(self):
         tv = top_structure(make_set([position(1), position(2)]), offset=1)
         with pytest.raises(NotAStructure):

@@ -9,6 +9,7 @@ import _oracles as oracles
 from conset import (
     MalformedText,
     cardinality,
+    compose,
     constituent_set,
     constituents,
     elements,
@@ -17,6 +18,7 @@ from conset import (
     is_constituent,
     make_set,
     parse,
+    replace,
     to_text,
     union,
 )
@@ -31,6 +33,35 @@ def handles(max_width: int = 3):
         lambda inner: st.lists(inner, max_size=max_width).map(make_set),
         max_leaves=25,
     )
+
+
+def chains(max_depth: int = 1500):
+    """A small random set wrapped in up to max_depth singletons."""
+
+    def wrap(base_and_depth):
+        h, depth = base_and_depth
+        for _ in range(depth):
+            h = make_set([h])
+        return h
+
+    return st.tuples(handles(), st.integers(0, max_depth)).map(wrap)
+
+
+def _ackermann(k: int):
+    """The set coded by k: its elements are the sets coded by k's one bits."""
+    return make_set(_ackermann(i) for i in range(k.bit_length()) if k >> i & 1)
+
+
+def fans(max_width: int = 200):
+    """A set of up to max_width distinct small random sets.
+
+    Distinct codes give distinct sets, so the width is exactly the number of
+    codes drawn.
+    """
+    codes = st.integers(0, max_width).flatmap(
+        lambda n: st.sets(st.integers(0, 2**12 - 1), min_size=n, max_size=n)
+    )
+    return codes.map(lambda ks: make_set(map(_ackermann, ks)))
 
 
 class TestEmpty:
@@ -177,3 +208,26 @@ class TestInstanceCount:
     def test_equals_open_brace_count(self, corpus200):
         for h in corpus200:
             assert instance_count(h) == h.text.count("{")
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestDeepAndWideShapes:
+    """Rebuilds and counts on shapes far deeper or wider than the corpus."""
+
+    @staticmethod
+    def check(x, data):
+        y = data.draw(st.sampled_from(constituents(x)), label="y")
+        z = data.draw(handles(), label="z")
+        assert replace(x, y, z) is oracles.replace_by_text(x, y, z)
+        assert compose(x, z) is oracles.replace_by_text(x, empty(), z)
+        assert instance_count(x) == x.text.count("{")
+
+    @settings(max_examples=25, deadline=None)
+    @given(chains(), st.data())
+    def test_deep_chain(self, x, data):
+        self.check(x, data)
+
+    @settings(max_examples=10, deadline=None)
+    @given(fans(), st.data())
+    def test_wide_fan(self, x, data):
+        self.check(x, data)

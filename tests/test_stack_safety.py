@@ -1,0 +1,53 @@
+"""Deep inputs under the interpreter's default recursion limit.
+
+Every rebuild, the expression parser and evaluator, and the CLI walk their
+input with an explicit stack, so nesting thousands of levels deep needs no
+more than the default limit, and nothing raises it behind the caller's back.
+"""
+
+import io
+import sys
+from contextlib import redirect_stdout
+
+import pytest
+
+from _oracles import replace_by_text
+from conset import as_vn, compose, evaluate, instance_count, map_union, replace
+from conset.cli import EXIT_OK, main
+from conset.numerals import vn, zermelo
+
+pytestmark = pytest.mark.usefixtures("default_recursion_limit")
+
+
+class TestDeepRebuilds:
+    def test_replace_in_a_deep_chain(self):
+        x, y, z = zermelo(1200), zermelo(1), vn(3)
+        assert replace(x, y, z) is replace_by_text(x, y, z)
+
+    def test_compose_onto_a_deep_chain(self):
+        assert compose(zermelo(3000), zermelo(2)) is zermelo(3002)
+
+    def test_map_union_over_a_deep_chain(self):
+        x, y = zermelo(3000), zermelo(1)
+        # y = {{}}: every subterm, {} included, gains {} as an element
+        expected = "{{}," * 3000 + "{{}}" + "}" * 3000
+        assert map_union(x, y).text == expected
+
+    def test_as_vn_rejects_a_deep_chain(self):
+        assert as_vn(zermelo(3000)) is None
+
+    def test_instance_count_of_a_deep_chain(self):
+        assert instance_count(zermelo(3000)) == 3001
+
+
+class TestDeepPrograms:
+    def test_evaluate_nested_braces(self):
+        assert evaluate("{" * 2000 + "}" * 2000).text == "{" * 2000 + "}" * 2000
+
+    def test_cli_eval_nested_braces_keeps_the_limit(self):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["eval", "{" * 3000 + "}" * 3000])
+        assert code == EXIT_OK
+        assert out.getvalue() == "{" * 3000 + "}" * 3000 + "\n"
+        assert sys.getrecursionlimit() == 1000
