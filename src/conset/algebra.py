@@ -111,21 +111,27 @@ def maximal_elements(handles: Iterable[SetHandle]) -> list[SetHandle]:
     ]
 
 
-def maximal_constituents(s: SetHandle) -> SetHandle:
-    """The set of maximal proper constituents of s."""
+def _only(found: list[SetHandle], what: str) -> SetHandle:
+    """The single handle found; NotUnique naming the count otherwise."""
+    if len(found) != 1:
+        raise NotUnique(f"{len(found)} {what}")
+    return found[0]
+
+
+def _maximal_proper(s: SetHandle) -> list[SetHandle]:
     if s is EMPTY:
         raise EmptyHasNoMaximal("the empty set has no proper constituents")
-    return make_set(maximal_elements(constituent_set(s) - {s}))
+    return maximal_elements(constituent_set(s) - {s})
+
+
+def maximal_constituents(s: SetHandle) -> SetHandle:
+    """The set of maximal proper constituents of s."""
+    return make_set(_maximal_proper(s))
 
 
 def unique_maximum(s: SetHandle) -> SetHandle:
     """The single maximal proper constituent of s; NotUnique otherwise."""
-    if s is EMPTY:
-        raise EmptyHasNoMaximal("the empty set has no proper constituents")
-    ms = maximal_elements(constituent_set(s) - {s})
-    if len(ms) != 1:
-        raise NotUnique(f"{len(ms)} maximal constituents in {s!r}")
-    return ms[0]
+    return _only(_maximal_proper(s), f"maximal constituents in {s!r}")
 
 
 def _common(a: SetHandle, b: SetHandle) -> frozenset[SetHandle]:
@@ -139,39 +145,37 @@ def lcc_set(a: SetHandle, b: SetHandle) -> SetHandle:
 
 def lcc(a: SetHandle, b: SetHandle) -> SetHandle:
     """The largest common constituent when it is unique."""
-    ms = maximal_elements(_common(a, b))
-    if len(ms) != 1:
-        raise NotUnique(f"{len(ms)} largest common constituents")
-    return ms[0]
+    return _only(maximal_elements(_common(a, b)), "largest common constituents")
+
+
+def _with_bottom(a: SetHandle, b: SetHandle) -> list[SetHandle]:
+    return [c for c in constituent_set(a) if has_bottom(c, b)]
 
 
 def max_with_bottom(a: SetHandle, b: SetHandle) -> SetHandle:
     """Set of the maximal constituents of a that have b at their bottom."""
-    found = [c for c in constituent_set(a) if has_bottom(c, b)]
-    return make_set(maximal_elements(found))
+    return make_set(maximal_elements(_with_bottom(a, b)))
 
 
 def max_with_bottom_unique(a: SetHandle, b: SetHandle) -> SetHandle:
-    found = [c for c in constituent_set(a) if has_bottom(c, b)]
+    found = _with_bottom(a, b)
     if not found:
         raise NoneFound(f"no constituent of {a!r} has {b!r} at the bottom")
-    ms = maximal_elements(found)
-    if len(ms) != 1:
-        raise NotUnique(f"{len(ms)} maximal constituents with that bottom")
-    return ms[0]
+    return _only(maximal_elements(found), "maximal constituents with that bottom")
+
+
+def _with_top(a: SetHandle, b: SetHandle) -> list[SetHandle]:
+    return [c for c in constituent_set(a) if is_top(b, c)]
 
 
 def with_top(a: SetHandle, b: SetHandle) -> SetHandle:
     """Set of all constituents of a that have b at their top."""
-    return make_set(c for c in constituent_set(a) if is_top(b, c))
+    return make_set(_with_top(a, b))
 
 
 def with_top_unique(a: SetHandle, b: SetHandle) -> SetHandle:
     """The single constituent of a with b at the top; NotUnique otherwise."""
-    found = [c for c in constituent_set(a) if is_top(b, c)]
-    if len(found) != 1:
-        raise NotUnique(f"{len(found)} constituents of {a!r} have {b!r} at the top")
-    return found[0]
+    return _only(_with_top(a, b), f"constituents of {a!r} have {b!r} at the top")
 
 
 def map_union(x: SetHandle, y: SetHandle) -> SetHandle:

@@ -65,22 +65,25 @@ def _parse_path(text: str) -> list[int]:
     return coords
 
 
-def _scheme_of(h: SetHandle, requested: str, out) -> str | None:
-    """Resolve --scheme auto against what the operands actually are."""
+def _scheme_of(operands: list[SetHandle], requested: str) -> str | None:
+    """Resolve --scheme auto to the one scheme every operand is a numeral of.
+
+    On failure the reason goes to stderr and None is returned.
+    """
     if requested != "auto":
         return requested
-    z, v = is_zermelo(h), is_vn(h)
-    if z and not v:
-        return "zermelo"
-    if v and not z:
-        return "vn"
-    if z and v:
-        print(
-            "ambiguous numeral (valid in both schemes); pass --scheme",
-            file=out,
-        )
-        return None
-    print("not a numeral in either scheme", file=out)
+    z = all(is_zermelo(h) for h in operands)
+    v = all(is_vn(h) for h in operands)
+    if z != v:
+        return "zermelo" if z else "vn"
+    if z:
+        plural = "s" if len(operands) > 1 else ""
+        reason = f"ambiguous numeral{plural} (valid in both schemes); pass --scheme"
+    elif len(operands) > 1:
+        reason = "operands are not numerals of one scheme"
+    else:
+        reason = "not a numeral in either scheme"
+    print(reason, file=sys.stderr)
     return None
 
 
@@ -244,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_OK
             if args.num_command == "decode":
                 h = evaluate(_read_source(args.expr))
-                scheme = _scheme_of(h, args.scheme, sys.stderr)
+                scheme = _scheme_of([h], args.scheme)
                 if scheme is None:
                     return EXIT_DOMAIN
                 value = as_zermelo(h) if scheme == "zermelo" else as_vn(h)
@@ -258,25 +261,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.num_command == "mul":
                 print(mul_structural(a, b).text, file=out)
                 return EXIT_OK
-            # add: both operands must live in one scheme
-            if args.scheme == "auto":
-                za, zb = is_zermelo(a), is_zermelo(b)
-                va, vb = is_vn(a), is_vn(b)
-                if za and zb and not (va and vb):
-                    scheme = "zermelo"
-                elif va and vb and not (za and zb):
-                    scheme = "vn"
-                elif za and zb and va and vb:
-                    print(
-                        "ambiguous numerals (valid in both schemes); pass --scheme",
-                        file=sys.stderr,
-                    )
-                    return EXIT_DOMAIN
-                else:
-                    print("operands are not numerals of one scheme", file=sys.stderr)
-                    return EXIT_DOMAIN
-            else:
-                scheme = args.scheme
+            scheme = _scheme_of([a, b], args.scheme)
+            if scheme is None:
+                return EXIT_DOMAIN
             result = add_zermelo(a, b) if scheme == "zermelo" else add_vn(a, b)
             print(result.text, file=out)
             return EXIT_OK

@@ -4,7 +4,8 @@ A top structure leaves numbered slots (position markers) open at its bottom; a
 bottom structure carries numbered branches, each wrapped as the marker
 n-singletons(diamond(branch)); fusion joins them with three replacement
 phases whose diamond pads keep the branch interiors untouchable while the
-slots are filled, shifted down in lockstep, and finally grounded.
+slots are filled, shifted down in lockstep, and finally grounded.  Markers of
+both kinds are recognised by their shape, never by building candidates.
 
 Middle structures are both at once and form a monoid under fusion; closing a
 middle structure grounds both sides, turning its branches into a plain set.
@@ -16,16 +17,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
-from .algebra import (
-    compose,
-    compose_all,
-    is_top,
-    maximal_elements,
-    remove_top,
-    replace,
-)
+from .algebra import compose, maximal_elements, replace
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
@@ -43,8 +37,8 @@ from .kernel import (
     is_constituent,
     make_set,
 )
-from .numerals import zermelo
-from .tuples import diamond, make_tuple, position
+from .numerals import as_zermelo, zermelo
+from .tuples import _unpad, diamond, make_tuple, position
 
 __all__ = [
     "TopStructure",
@@ -72,6 +66,8 @@ __all__ = [
 
 DEFAULT_BUDGET = 100_000
 
+S = TypeVar("S")
+
 
 @dataclass(frozen=True)
 class TopStructure:
@@ -96,18 +92,15 @@ class MiddleStructure:
     offset: int = 0
 
 
-def _terminal_indices(h: SetHandle) -> list[int]:
-    """All n whose position marker occurs inside h.
+def _branch(n: int, x: SetHandle) -> SetHandle:
+    """The marker numbered n wrapping x: n singletons over the diamond over x."""
+    return compose(zermelo(n), compose(diamond(), x))
 
-    Marker texts grow linearly with n, so only finitely many can fit.
-    """
-    ks = []
-    n = 0
-    while len(position(n).text) <= len(h.text):
-        if is_constituent(position(n), h):
-            ks.append(n)
-        n += 1
-    return ks
+
+def _terminal_indices(h: SetHandle) -> list[int]:
+    """All n whose position marker (the diamond over zermelo(n)) occurs inside h."""
+    ks = (as_zermelo(x) for x in map(_unpad, constituent_set(h)) if x is not None)
+    return sorted(n for n in ks if n is not None)
 
 
 def top_structure(h: SetHandle, offset: int = 0) -> TopStructure:
@@ -137,10 +130,8 @@ def _parse_marker(m: SetHandle) -> tuple[int, SetHandle]:
     while len(w.children) == 1:
         w = w.children[0]
         n += 1
-    if len(w.children) != 2:
-        raise NotAStructure(f"marker residue is not diamond-shaped: {w!r}")
-    x = remove_top(diamond(), w)
-    if compose(diamond(), x) is not w:
+    x = _unpad(w)
+    if x is None:
         raise NotAStructure(f"marker residue is not a diamond stack: {w!r}")
     return n, x
 
@@ -187,25 +178,25 @@ def middle_structure(h: SetHandle, offset: int = 0) -> MiddleStructure:
     return MiddleStructure(set=h, arity=t.arity, offset=offset)
 
 
-def validate_top(h: SetHandle, offset: int = 0) -> TopStructure | None:
+def _or_none(
+    strict: Callable[[SetHandle, int], S], h: SetHandle, offset: int
+) -> S | None:
     try:
-        return top_structure(h, offset)
+        return strict(h, offset)
     except NotAStructure:
         return None
+
+
+def validate_top(h: SetHandle, offset: int = 0) -> TopStructure | None:
+    return _or_none(top_structure, h, offset)
 
 
 def validate_bottom(h: SetHandle, offset: int = 0) -> BottomStructure | None:
-    try:
-        return bottom_structure(h, offset)
-    except NotAStructure:
-        return None
+    return _or_none(bottom_structure, h, offset)
 
 
 def validate_middle(h: SetHandle, offset: int = 0) -> MiddleStructure | None:
-    try:
-        return middle_structure(h, offset)
-    except NotAStructure:
-        return None
+    return _or_none(middle_structure, h, offset)
 
 
 def _as_top(t: SetHandle | TopStructure) -> TopStructure:
@@ -226,7 +217,7 @@ def bottom_terminal(b: SetHandle | BottomStructure, n: int) -> SetHandle:
     i = n - bv.offset
     if not 0 <= i < bv.arity:
         raise IndexOutOfRange(f"no marker {n} (arity {bv.arity}, offset {bv.offset})")
-    return remove_top(compose(zermelo(n), diamond()), bv.markers[i])
+    return _parse_marker(bv.markers[i])[1]
 
 
 def match_terminals(
@@ -236,13 +227,11 @@ def match_terminals(
     tv, bv = _as_top(t), _as_bottom(b)
     if tv.arity != bv.arity or tv.offset != bv.offset:
         return False
-    for i in range(tv.arity):
-        n = tv.offset + i
-        if not is_top(
-            compose(position(n), diamond()), compose(diamond(), bv.markers[i])
-        ):
-            return False
-    return True
+    try:
+        ns = [_parse_marker(m)[0] for m in bv.markers]
+    except NotAStructure:
+        return False
+    return ns == list(range(tv.offset, tv.offset + tv.arity))
 
 
 def _fuse_formula(top: SetHandle, terms: Sequence[SetHandle]) -> SetHandle:
@@ -293,10 +282,7 @@ def middle(entries: Sequence[SetHandle]) -> MiddleStructure:
     """Pass-through structure carrying each entry between slot n and marker n."""
     if not entries:
         raise ValueError("a middle structure needs at least one entry")
-    parts = [
-        compose_all([zermelo(n), diamond(), e, diamond(), zermelo(n)])
-        for n, e in enumerate(entries)
-    ]
+    parts = [_branch(n, compose(e, position(n))) for n, e in enumerate(entries)]
     return middle_structure(make_set(parts))
 
 
@@ -311,10 +297,7 @@ def middle_permutation(perm: Sequence[int]) -> MiddleStructure:
     """Middle structure wiring slot n straight to marker perm(n)."""
     if sorted(perm) != list(range(len(perm))):
         raise NotAPermutation(f"{list(perm)} is not a permutation of 0..{len(perm) - 1}")
-    parts = [
-        compose_all([zermelo(n), diamond(), diamond(), zermelo(p)])
-        for n, p in enumerate(perm)
-    ]
+    parts = [_branch(n, position(p)) for n, p in enumerate(perm)]
     return middle_structure(make_set(parts))
 
 
@@ -380,9 +363,7 @@ def has_top_structure(
             continue
         if _fuse_formula(tv.set, assign) is not x:
             continue
-        minimal = make_set(
-            compose_all([zermelo(n), diamond(), a]) for n, a in enumerate(assign)
-        )
+        minimal = make_set(_branch(n, a) for n, a in enumerate(assign))
         got = validate_bottom(minimal)
         if got is not None and got.arity == m:
             return True

@@ -52,6 +52,19 @@ def diamond() -> SetHandle:
     return kuratowski_pair(zermelo(1), zermelo(0))
 
 
+def _unpad(w: SetHandle) -> SetHandle | None:
+    """The x with compose(diamond(), x) is w, or None when there is none.
+
+    The diamond over x is {{{x}},{x,{x}}}, its elements always in that
+    shortlex order; the shape is checked by child identity, building nothing.
+    """
+    if len(w.children) == 2 and len(w.children[0].children) == 1:
+        s = w.children[0].children[0]
+        if len(s.children) == 1 and w.children[1].children == (s.children[0], s):
+            return s.children[0]
+    return None
+
+
 def position(n: int) -> SetHandle:
     """Marker for tuple slot n: the diamond over the successor numeral n."""
     return compose(diamond(), zermelo(n))

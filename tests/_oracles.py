@@ -45,6 +45,26 @@ def simultaneous_replace_by_text(text: str, table: dict[str, str]) -> str:
     return "".join(out)
 
 
+def position_indices_by_text(text: str) -> list[int]:
+    """Every n whose position-marker text occurs in text.
+
+    The marker is the diamond {{{x}},{x,{x}}} over the successor numeral
+    x = n, whose text is n+1 open braces then n+1 close braces.  A canonical
+    text that occurs inside another is the text of one of its constituents,
+    and marker texts grow with n, so the scan stops once they outgrow text.
+    """
+    found = []
+    n = 0
+    while True:
+        z = "{" * (n + 1) + "}" * (n + 1)
+        marker = "{{{" + z + "}},{" + z + ",{" + z + "}}}"
+        if len(marker) > len(text):
+            return found
+        if marker in text:
+            found.append(n)
+        n += 1
+
+
 def _strictly_below(u: SetHandle, w: SetHandle) -> bool:
     return u is not w and is_constituent(u, w)
 

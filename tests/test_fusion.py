@@ -27,6 +27,8 @@ from conset.errors import (
     TerminalMismatch,
 )
 from conset.fusion import (
+    BottomStructure,
+    _terminal_indices,
     bottom_structure,
     bottom_terminal,
     close,
@@ -49,7 +51,7 @@ from conset.kernel import parse
 from conset.numerals import vn, zermelo
 from conset.tuples import diamond, kuratowski_pair, kuratowski_top, make_tuple, position
 
-from _oracles import simultaneous_replace_by_text
+from _oracles import position_indices_by_text, simultaneous_replace_by_text
 
 D = diamond()
 Z = zermelo
@@ -143,6 +145,28 @@ class TestValidators:
         assert (bottom_structure(b, offset=1).arity, bottom_structure(b, offset=1).offset) == (2, 1)
 
 
+class TestMarkerReading:
+    def test_indices_match_text_oracle(self, corpus200):
+        rng = random.Random(29)
+        flat = [
+            make_tuple(rng.sample(corpus200, k)) for k in (1, 2, 3, 4) for _ in range(5)
+        ]
+        nested = [make_tuple([t, rng.choice(corpus200)]) for t in flat]
+        nested += [make_tuple([empty(), make_tuple([position(2), D])])]
+        for h in corpus200 + flat + nested + [kuratowski_top(), grouping_top()]:
+            assert _terminal_indices(h) == position_indices_by_text(h.text)
+
+    def test_indices_of_known_tops(self):
+        assert _terminal_indices(kuratowski_top()) == [0, 1]
+        assert _terminal_indices(grouping_top()) == [0, 1, 2]
+        apart = make_set([position(3), make_set([position(1)])])
+        assert _terminal_indices(apart) == [1, 3]
+        assert _terminal_indices(Z(4)) == []
+
+    def test_large_entry_tuple_is_a_top(self):
+        assert top_structure(make_tuple([vn(12), empty()])).arity == 2
+
+
 class TestBottomTerminal:
     def test_branches_come_back_unwrapped(self):
         b = make_set([branch(0, Z(2)), branch(1, Z(3))])
@@ -167,6 +191,11 @@ class TestBottomTerminal:
         with pytest.raises(IndexOutOfRange):
             bottom_terminal(bv, 0)
 
+    def test_hand_built_non_marker_raises(self):
+        bv = BottomStructure(set=Z(3), arity=1, markers=(Z(3),))
+        with pytest.raises(NotAStructure):
+            bottom_terminal(bv, 0)
+
 
 class TestMatchTerminals:
     def test_matching_arities(self):
@@ -179,6 +208,18 @@ class TestMatchTerminals:
     def test_offset_mismatch_is_false(self):
         bv = bottom_structure(make_set([branch(1, Z(2)), branch(2, vn(3))]), offset=1)
         assert not match_terminals(top_structure(make_tuple([empty()] * 2)), bv)
+
+    def test_hand_built_non_marker_is_false(self):
+        # a marker that does not parse answers False; fuse reports a mismatch
+        bv = BottomStructure(set=Z(3), arity=1, markers=(Z(3),))
+        assert not match_terminals(make_tuple([empty()]), bv)
+        with pytest.raises(TerminalMismatch):
+            fuse(make_tuple([empty()]), bv)
+
+    def test_wrongly_numbered_marker_is_false(self):
+        b = branch(1, Z(2))
+        bv = BottomStructure(set=b, arity=1, markers=(b,))
+        assert not match_terminals(make_tuple([empty()]), bv)
 
     def test_raw_non_structure_raises(self):
         with pytest.raises(NotAStructure):

@@ -17,6 +17,7 @@ from conset import (
 from conset.numerals import vn, zermelo
 from conset.tuples import (
     PairDiagnosis,
+    _unpad,
     constituent_at,
     contains_position,
     decode_kuratowski,
@@ -41,6 +42,18 @@ class TestPositions:
     def test_position_composes_marker_over_numeral(self):
         for n in range(5):
             assert position(n) is compose(diamond(), zermelo(n))
+
+    def test_unpad_inverts_the_diamond(self, corpus200):
+        for c in corpus200 + [empty(), diamond(), position(3)]:
+            assert _unpad(compose(diamond(), c)) is c
+
+    def test_unpad_rejects_other_shapes(self, corpus200):
+        # no corpus set is a diamond over anything; the pairs {{{x}},{y,{x}}}
+        # with y != x and {{a},{a,b}} with a no singleton are near misses
+        near = [kuratowski_pair(zermelo(2), zermelo(0)), kuratowski_pair(zermelo(2), vn(2))]
+        near += [kuratowski_pair(vn(2), zermelo(2)), empty(), zermelo(3), vn(3)]
+        for h in corpus200 + near:
+            assert _unpad(h) is None
 
     def test_markers_never_contain_each_other(self):
         for j in range(7):
