@@ -48,11 +48,17 @@ __all__ = [
 ]
 
 
+def _substitute(x: SetHandle, table: dict[SetHandle, SetHandle]) -> SetHandle:
+    """x with every key of table replaced by its value in one pass over the
+    original subterms of x; no key may be a constituent of another."""
+    return fold(x, lambda w, kids: make_set(kids), dict(table))
+
+
 def replace(x: SetHandle, y: SetHandle, z: SetHandle) -> SetHandle:
     """x with every occurrence of y replaced by z, judged on original subterms."""
     if not is_constituent(y, x):
         return x
-    return fold(x, lambda w, kids: make_set(kids), {y: z})
+    return _substitute(x, {y: z})
 
 
 def compose(x: SetHandle, y: SetHandle) -> SetHandle:
@@ -68,9 +74,20 @@ def compose_all(items: Iterable[SetHandle]) -> SetHandle:
     return acc
 
 
+def _bottoms(x: SetHandle, a: SetHandle) -> dict[SetHandle, bool]:
+    """has_bottom(c, a) for each constituent c of x not strictly inside a.
+
+    b(a -> {})(a) turns every empty set of b outside an a into a, so it is b
+    exactly when every descent from b meets a before it meets the empty set.
+    """
+    found = {a: True, EMPTY: a is EMPTY}
+    fold(x, lambda w, kids: all(kids), found)
+    return found
+
+
 def has_bottom(b: SetHandle, a: SetHandle) -> bool:
     """True when a sits at the bottom of b: b(a -> {})(a) = b."""
-    return compose(replace(b, a, EMPTY), a) is b
+    return is_constituent(a, b) and _bottoms(b, a)[b]
 
 
 def is_top(c: SetHandle, b: SetHandle) -> bool:
@@ -149,7 +166,8 @@ def lcc(a: SetHandle, b: SetHandle) -> SetHandle:
 
 
 def _with_bottom(a: SetHandle, b: SetHandle) -> list[SetHandle]:
-    return [c for c in constituent_set(a) if has_bottom(c, b)]
+    found = _bottoms(a, b)
+    return [c for c in constituent_set(a) if found.get(c)]
 
 
 def max_with_bottom(a: SetHandle, b: SetHandle) -> SetHandle:

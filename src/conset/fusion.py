@@ -2,10 +2,9 @@
 
 A top structure leaves numbered slots (position markers) open at its bottom; a
 bottom structure carries numbered branches, each wrapped as the marker
-n-singletons(diamond(branch)); fusion joins them with three replacement
-phases whose diamond pads keep the branch interiors untouchable while the
-slots are filled, shifted down in lockstep, and finally grounded.  Markers of
-both kinds are recognised by their shape, never by building candidates.
+n-singletons(diamond(branch)); fusion joins them by one simultaneous
+substitution of every slot by its branch.  Markers of both kinds are
+recognised by their shape, never by building candidates.
 
 Middle structures are both at once and form a monoid under fusion; closing a
 middle structure grounds both sides, turning its branches into a plain set.
@@ -19,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from .algebra import compose, maximal_elements, replace
+from .algebra import _substitute, compose, maximal_elements
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
@@ -103,15 +102,17 @@ def _terminal_indices(h: SetHandle) -> list[int]:
     return sorted(n for n in ks if n is not None)
 
 
+def _require_contiguous(ks: list[int], offset: int) -> None:
+    if ks != list(range(offset, offset + len(ks))):
+        raise NotAStructure(f"marker indices {ks} are not contiguous from {offset}")
+
+
 def top_structure(h: SetHandle, offset: int = 0) -> TopStructure:
     """Validate h as a top structure (strict: raises NotAStructure)."""
     ks = _terminal_indices(h)
     if not ks:
         raise NotAStructure("no position markers occur in the set")
-    if ks != list(range(offset, offset + len(ks))):
-        raise NotAStructure(
-            f"marker indices {ks} are not contiguous from {offset}"
-        )
+    _require_contiguous(ks, offset)
     terminals = [position(k) for k in ks]
     for x in constituents(h):
         if not any(
@@ -152,10 +153,7 @@ def bottom_structure(h: SetHandle, offset: int = 0) -> BottomStructure:
             raise NotAStructure(f"two maximal markers share index {n}")
         markers[n] = m
     ks = sorted(markers)
-    if ks != list(range(offset, offset + len(ks))):
-        raise NotAStructure(
-            f"marker indices {ks} are not contiguous from {offset}"
-        )
+    _require_contiguous(ks, offset)
     return BottomStructure(
         set=h,
         arity=len(ks),
@@ -200,7 +198,12 @@ def validate_middle(h: SetHandle, offset: int = 0) -> MiddleStructure | None:
 
 
 def _as_top(t: SetHandle | TopStructure) -> TopStructure:
-    return t if isinstance(t, TopStructure) else top_structure(t)
+    if not isinstance(t, TopStructure):
+        return top_structure(t)
+    tv = top_structure(t.set, t.offset)
+    if tv != t:
+        raise NotAStructure(f"the set has {tv.arity} slots, not {t.arity}")
+    return tv
 
 
 def _as_bottom(b: SetHandle | BottomStructure) -> BottomStructure:
@@ -224,7 +227,10 @@ def match_terminals(
     t: SetHandle | TopStructure, b: SetHandle | BottomStructure
 ) -> bool:
     """Whether every slot of t pairs with the equally numbered marker of b."""
-    tv, bv = _as_top(t), _as_bottom(b)
+    return _matches(_as_top(t), _as_bottom(b))
+
+
+def _matches(tv: TopStructure, bv: BottomStructure) -> bool:
     if tv.arity != bv.arity or tv.offset != bv.offset:
         return False
     try:
@@ -235,22 +241,8 @@ def match_terminals(
 
 
 def _fuse_formula(top: SetHandle, terms: Sequence[SetHandle]) -> SetHandle:
-    """The three replacement phases.
-
-    Ascending, each slot receives its branch over a fresh pad; the pads keep
-    marker look-alikes inside branches shifted out of harm's way.  Descending,
-    all pads drop one slot per step in lockstep, converging on the bare
-    diamond, which the final phase grounds to the empty set — restoring any
-    shifted branch interiors in the same stroke.
-    """
-    cur = top
-    m = len(terms)
-    for n in range(m):
-        p = position(n)
-        cur = replace(cur, p, compose(terms[n], p))
-    for n in range(m - 1, 0, -1):
-        cur = replace(cur, position(n), position(n - 1))
-    return replace(cur, diamond(), EMPTY)
+    """Every slot n of top replaced by terms[n] at once; branches stay intact."""
+    return _substitute(top, {position(n): t for n, t in enumerate(terms)})
 
 
 def fuse(t: SetHandle | TopStructure, b: SetHandle | BottomStructure) -> SetHandle:
@@ -258,7 +250,7 @@ def fuse(t: SetHandle | TopStructure, b: SetHandle | BottomStructure) -> SetHand
     tv, bv = _as_top(t), _as_bottom(b)
     if tv.offset != 0 or bv.offset != 0:
         raise TerminalMismatch("fusion requires marker indices starting at 0")
-    if not match_terminals(tv, bv):
+    if not _matches(tv, bv):
         raise TerminalMismatch(
             f"slots (arity {tv.arity}) do not match markers (arity {bv.arity})"
         )

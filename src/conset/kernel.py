@@ -63,10 +63,15 @@ _table: dict[tuple[int, ...], SetHandle] = {}
 _ids = itertools.count()
 
 
+def _shortlex(h: SetHandle) -> tuple[int, str]:
+    """Sort key of the canonical element order: text length, then text."""
+    return len(h.text), h.text
+
+
 def make_set(elems: Iterable[SetHandle]) -> SetHandle:
     """The canonical set whose elements are the given handles."""
     uniq = {e.uid: e for e in elems}
-    children = tuple(sorted(uniq.values(), key=lambda e: (len(e.text), e.text)))
+    children = tuple(sorted(uniq.values(), key=_shortlex))
     key = tuple(c.uid for c in children)
     h = _table.get(key)
     if h is None:
@@ -189,7 +194,7 @@ def constituent_set(h: SetHandle) -> frozenset[SetHandle]:
 
 def constituents(h: SetHandle) -> list[SetHandle]:
     """Constituents of h sorted by shortlex canonical text."""
-    return sorted(constituent_set(h), key=lambda c: (len(c.text), c.text))
+    return sorted(constituent_set(h), key=_shortlex)
 
 
 def is_constituent(x: SetHandle, y: SetHandle) -> bool:

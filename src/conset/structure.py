@@ -21,11 +21,12 @@ from .errors import Unrealizable
 from .kernel import (
     EMPTY,
     SetHandle,
+    _shortlex,
     constituents,
     is_constituent,
+    make_set,
     parse,
 )
-from .kernel import make_set
 
 __all__ = [
     "StructureGraph",
@@ -269,12 +270,7 @@ def simplest_set(g: StructureGraph) -> SetHandle:
         cand = make_set(elems)
         while cand in used:
             pool = sorted(
-                (
-                    realized[d]
-                    for d in down[v]
-                    if d not in lowers[v]
-                ),
-                key=lambda h: (len(h.text), h.text),
+                (realized[d] for d in down[v] if d not in lowers[v]), key=_shortlex
             )
             pick = next((p for p in pool if p not in chosen), None)
             if pick is None:

@@ -22,6 +22,16 @@ def replace_by_text(x: SetHandle, y: SetHandle, z: SetHandle) -> SetHandle:
     return parse(x.text.replace(y.text, z.text))
 
 
+def has_bottom_by_text(b: SetHandle, a: SetHandle) -> bool:
+    """The defining equation b(a -> {})(a) = b, by text substitution.
+
+    A canonical nonempty set never renders as "{}", so that text marks
+    exactly the occurrences of the empty set.
+    """
+    lifted = parse(b.text.replace(a.text, "{}"))
+    return parse(lifted.text.replace("{}", a.text)) is b
+
+
 def simultaneous_replace_by_text(text: str, table: dict[str, str]) -> str:
     """One-pass simultaneous substitution of several patterns.
 

@@ -32,7 +32,7 @@ from conset import (
     with_top_unique,
 )
 from conset.numerals import as_vn, vn, zermelo
-from conset.tuples import make_tuple, position
+from conset.tuples import make_tuple, position, position_path
 
 
 class TestReplace:
@@ -153,6 +153,46 @@ class TestHasBottom:
         for i, x in enumerate(corpus200[:60]):
             y = corpus200[-1 - i]
             assert has_bottom(compose(x, y), y)
+
+
+def _check_bottoms(x, a):
+    """has_bottom on every constituent of x, and max_with_bottom(x, a),
+    against the text oracle."""
+    found = []
+    for c in constituents(x):
+        expected = oracles.has_bottom_by_text(c, a)
+        assert has_bottom(c, a) == expected
+        if expected:
+            found.append(c)
+    maximal = [
+        c for c in found if not any(o is not c and is_constituent(c, o) for o in found)
+    ]
+    assert max_with_bottom(x, a) is make_set(maximal)
+
+
+class TestBottomOracle:
+    def test_corpus_constituent_pairs(self, corpus200):
+        for x in corpus200[:25]:
+            for a in constituents(x):
+                _check_bottoms(x, a)
+
+    def test_markers_inside_nested_tuples(self, corpus200):
+        markers = [position(0), position(1)]
+        markers += [position_path(p) for p in ([0, 0], [1, 0], [0, 1])]
+        small = [h for h in corpus200 if len(h.text) <= 24]
+        for i in range(0, 12, 3):
+            x, y, z = small[i : i + 3]
+            t = make_tuple([make_tuple([x, make_tuple([y, z])]), y])
+            for p in markers:
+                _check_bottoms(t, p)
+
+    def test_constituents_strictly_inside_the_bottom(self, corpus200):
+        for a in corpus200[:40] + [position(2), position_path([1, 0])]:
+            for c in constituents(a):
+                if c is not a:
+                    assert not has_bottom(c, a)
+                    assert not oracles.has_bottom_by_text(c, a)
+            assert max_with_bottom(make_set([a]), a) is make_set([make_set([a])])
 
 
 class TestIsTop:

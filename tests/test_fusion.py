@@ -28,6 +28,7 @@ from conset.errors import (
 )
 from conset.fusion import (
     BottomStructure,
+    TopStructure,
     _terminal_indices,
     bottom_structure,
     bottom_terminal,
@@ -49,7 +50,14 @@ from conset.fusion import (
 )
 from conset.kernel import parse
 from conset.numerals import vn, zermelo
-from conset.tuples import diamond, kuratowski_pair, kuratowski_top, make_tuple, position
+from conset.tuples import (
+    diamond,
+    kuratowski_pair,
+    kuratowski_top,
+    make_tuple,
+    position,
+    position_path,
+)
 
 from _oracles import position_indices_by_text, simultaneous_replace_by_text
 
@@ -276,11 +284,25 @@ class TestFuseWithTerminals:
         with pytest.raises(ArityMismatch):
             fuse_with_terminals(make_tuple([empty()] * 3), [Z(1), Z(2)])
 
+    def test_hand_built_top_is_checked(self):
+        with pytest.raises(NotAStructure):
+            fuse_with_terminals(TopStructure(set=Z(3), arity=2), [vn(2), vn(3)])
+        wrong_arity = TopStructure(set=make_tuple([empty()] * 3), arity=2)
+        with pytest.raises(NotAStructure):
+            fuse_with_terminals(wrong_arity, [vn(2), vn(3)])
+        with pytest.raises(NotAStructure):
+            match_terminals(wrong_arity, make_set([branch(0, Z(2)), branch(1, Z(3))]))
+        tv = top_structure(make_tuple([empty()] * 2))
+        assert fuse_with_terminals(tv, [Z(2), vn(3)]) is make_set([Z(2), vn(3)])
+
     def test_matches_text_substitution_oracle(self):
         # Fusion must equal one simultaneous marker→branch text substitution,
         # even when branches themselves contain markers or diamonds.
         corpus = generate(11, 40, max_depth=4)
         pool = corpus + [position(0), position(2), D, Z(3), vn(3), empty()]
+        pool += [position_path([1, 0])]
+        pool += [compose(position(0), x) for x in corpus[:5]]
+        pool += [compose(x, position(3)) for x in corpus[:5]]
         rng = random.Random(97)
         tops = [make_tuple([empty()] * k) for k in (1, 2, 3, 4)]
         tops += [kuratowski_top(), grouping_top()]
