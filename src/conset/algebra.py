@@ -10,18 +10,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import (
-    AmbiguousWitness,
-    EmptyHasNoMaximal,
-    NoneFound,
-    NotABottom,
-    NotUnique,
-)
+from .errors import EmptyHasNoMaximal, NoneFound, NotABottom, NotUnique
 from .kernel import (
     EMPTY,
     SetHandle,
     constituent_set,
-    constituents,
     fold,
     is_constituent,
     make_set,
@@ -90,13 +83,32 @@ def has_bottom(b: SetHandle, a: SetHandle) -> bool:
     return is_constituent(a, b) and _bottoms(b, a)[b]
 
 
-def is_top(c: SetHandle, b: SetHandle) -> bool:
-    """True when c sits at the top of b: some a has c(a) = b.
+def _height(w: SetHandle, kids: list[int]) -> int:
+    return 1 + max(kids)
 
-    Any witness a is a constituent of b (or b itself when c is empty), so the
-    search over constituent_set(b) is exhaustive.
+
+def _under_top(
+    c: SetHandle, b: SetHandle, rank: dict[SetHandle, int]
+) -> SetHandle | None:
+    """The a with c(a) = b, or None; rank is a height memo seeded {EMPTY: 0}.
+
+    For non-empty k the elements of k(a) are the j(a) for j in k, so
+    rank(k(a)) = rank(k) + rank(a), and every node of c(a) above a ranks
+    higher than a.  On any descent of b the first node of rank at most
+    rank(b) - rank(c) is therefore the only candidate, so a witness is unique.
     """
-    return any(compose(c, a) is b for a in constituent_set(b))
+    target = fold(b, _height, rank) - fold(c, _height, rank)
+    if target < 0:
+        return None
+    a = b
+    while rank[a] > target:
+        a = a.children[0]
+    return a if compose(c, a) is b else None
+
+
+def is_top(c: SetHandle, b: SetHandle) -> bool:
+    """True when c sits at the top of b: some a has c(a) = b."""
+    return _under_top(c, b, {EMPTY: 0}) is not None
 
 
 def remove_bottom(b: SetHandle, a: SetHandle) -> SetHandle:
@@ -108,14 +120,8 @@ def remove_bottom(b: SetHandle, a: SetHandle) -> SetHandle:
 
 def remove_top(c: SetHandle, b: SetHandle) -> SetHandle:
     """The unique a with c(a) = b when one exists, otherwise b itself."""
-    witnesses = [a for a in constituents(b) if compose(c, a) is b]
-    if not witnesses:
-        return b
-    if len(witnesses) > 1:
-        raise AmbiguousWitness(
-            f"{len(witnesses)} witnesses place {c!r} at the top of {b!r}"
-        )
-    return witnesses[0]
+    a = _under_top(c, b, {EMPTY: 0})
+    return b if a is None else a
 
 
 def maximal_elements(handles: Iterable[SetHandle]) -> list[SetHandle]:
@@ -136,9 +142,10 @@ def _only(found: list[SetHandle], what: str) -> SetHandle:
 
 
 def _maximal_proper(s: SetHandle) -> list[SetHandle]:
+    """Maximal proper constituents of s; each one is an element of s."""
     if s is EMPTY:
         raise EmptyHasNoMaximal("the empty set has no proper constituents")
-    return maximal_elements(constituent_set(s) - {s})
+    return maximal_elements(s.children)
 
 
 def maximal_constituents(s: SetHandle) -> SetHandle:
@@ -183,7 +190,8 @@ def max_with_bottom_unique(a: SetHandle, b: SetHandle) -> SetHandle:
 
 
 def _with_top(a: SetHandle, b: SetHandle) -> list[SetHandle]:
-    return [c for c in constituent_set(a) if is_top(b, c)]
+    rank = {EMPTY: 0}
+    return [c for c in constituent_set(a) if _under_top(b, c, rank) is not None]
 
 
 def with_top(a: SetHandle, b: SetHandle) -> SetHandle:

@@ -37,7 +37,11 @@ class NotABottom(CalculusError):
 
 
 class AmbiguousWitness(CalculusError):
-    """More than one witness satisfies a top-removal equation."""
+    """More than one witness satisfies a top-removal equation.
+
+    Kept for compatibility and no longer raised: c(a) = b has at most one
+    witness a, so remove_top never finds several.
+    """
 
 
 class NotUnique(CalculusError):

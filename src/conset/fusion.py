@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from .algebra import _substitute, compose, maximal_elements
+from .algebra import _maximal_proper, _substitute, compose
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
@@ -147,7 +147,7 @@ def bottom_structure(h: SetHandle, offset: int = 0) -> BottomStructure:
     if h is EMPTY:
         raise NotAStructure("the empty set carries no markers")
     markers: dict[int, SetHandle] = {}
-    for m in maximal_elements(constituent_set(h) - {h}):
+    for m in _maximal_proper(h):
         n, _ = _parse_marker(m)
         if n in markers:
             raise NotAStructure(f"two maximal markers share index {n}")

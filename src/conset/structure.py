@@ -22,6 +22,7 @@ from .kernel import (
     EMPTY,
     SetHandle,
     _shortlex,
+    constituent_set,
     constituents,
     is_constituent,
     make_set,
@@ -117,8 +118,7 @@ def check_graph(g: StructureGraph) -> None:
         sinks = [v for v in range(n) if not uppers[v]]
         if sources != [g.bottom] or sinks != [g.top]:
             raise ValueError("graph must have a single bottom and a single top")
-    levels = _levels(g)  # raises on cycles
-    del levels
+    _levels(g)  # raises on cycles
 
 
 def _levels(g: StructureGraph) -> list[int]:
@@ -139,19 +139,6 @@ def _levels(g: StructureGraph) -> list[int]:
     if seen != g.n:
         raise ValueError("graph has a cycle")
     return level
-
-
-def _up_closure(g: StructureGraph) -> list[set[int]]:
-    """For each vertex the set of vertices reachable strictly upward."""
-    _, uppers = _adjacency(g)
-    level = _levels(g)
-    order = sorted(range(g.n), key=lambda v: -level[v])
-    up: list[set[int]] = [set() for _ in range(g.n)]
-    for v in order:
-        for u in uppers[v]:
-            up[v].add(u)
-            up[v] |= up[u]
-    return up
 
 
 def _refine(
@@ -256,30 +243,21 @@ def simplest_set(g: StructureGraph) -> SetHandle:
     lowers, _ = _adjacency(g)
     level = _levels(g)
     order = sorted(range(g.n), key=lambda v: (level[v], v))
-    up = _up_closure(g)
-    down: list[set[int]] = [set() for _ in range(g.n)]
-    for v in range(g.n):
-        for u in up[v]:
-            down[u].add(v)
 
     realized: dict[int, SetHandle] = {}
     used: dict[SetHandle, int] = {}
     for v in order:
-        elems = [realized[u] for u in lowers[v]]
-        chosen = set(elems)
-        cand = make_set(elems)
+        chosen = {realized[u] for u in lowers[v]}
+        cand = make_set(chosen)
         while cand in used:
-            pool = sorted(
-                (realized[d] for d in down[v] if d not in lowers[v]), key=_shortlex
-            )
-            pick = next((p for p in pool if p not in chosen), None)
-            if pick is None:
+            # every realized vertex below v is a constituent of a lower cover
+            spare = frozenset().union(*map(constituent_set, chosen)) - chosen
+            if not spare:
                 raise Unrealizable(
                     f"vertex {v} collides and has no spare constituent to add"
                 )
-            elems.append(pick)
-            chosen.add(pick)
-            cand = make_set(elems)
+            chosen.add(min(spare, key=_shortlex))
+            cand = make_set(chosen)
         realized[v] = cand
         used[cand] = v
 

@@ -32,6 +32,14 @@ def has_bottom_by_text(b: SetHandle, a: SetHandle) -> bool:
     return parse(lifted.text.replace("{}", a.text)) is b
 
 
+def top_witnesses_by_text(c: SetHandle, b: SetHandle) -> list[SetHandle]:
+    """Every constituent a of b with c(a) = b, by text substitution.
+
+    As in has_bottom_by_text, "{}" marks exactly the empty sets of c.
+    """
+    return [a for a in constituents(b) if parse(c.text.replace("{}", a.text)) is b]
+
+
 def simultaneous_replace_by_text(text: str, table: dict[str, str]) -> str:
     """One-pass simultaneous substitution of several patterns.
 

@@ -215,6 +215,30 @@ class TestIsTop:
             assert is_top(x, compose(x, y))
 
 
+def _check_tops(c, b):
+    """is_top and remove_top on (c, b) against the text oracle."""
+    witnesses = oracles.top_witnesses_by_text(c, b)
+    assert len(witnesses) <= 1
+    assert is_top(c, b) == bool(witnesses)
+    assert remove_top(c, b) is (witnesses[0] if witnesses else b)
+
+
+class TestTopOracle:
+    def test_corpus_pairs(self, corpus200):
+        for i, b in enumerate(corpus200[:40]):
+            for c in constituents(b) + [empty(), position(2)]:
+                _check_tops(c, b)
+                _check_tops(c, compose(c, corpus200[-1 - i]))
+
+    def test_with_top(self, corpus200):
+        for a in corpus200[:25]:
+            for b in constituents(a)[::3] + [empty(), position(2)]:
+                expected = [
+                    c for c in constituents(a) if oracles.top_witnesses_by_text(b, c)
+                ]
+                assert with_top(a, b) is make_set(expected)
+
+
 class TestRemoveBottom:
     def test_numeral_difference(self):
         assert remove_bottom(zermelo(5), zermelo(2)) is zermelo(3)

@@ -12,7 +12,18 @@ from contextlib import redirect_stdout
 import pytest
 
 from _oracles import replace_by_text
-from conset import as_vn, compose, evaluate, instance_count, map_union, replace
+from conset import (
+    as_vn,
+    compose,
+    constituent_set,
+    evaluate,
+    instance_count,
+    is_top,
+    make_set,
+    map_union,
+    replace,
+    with_top,
+)
 from conset.cli import EXIT_OK, main
 from conset.numerals import vn, zermelo
 
@@ -38,6 +49,15 @@ class TestDeepRebuilds:
 
     def test_instance_count_of_a_deep_chain(self):
         assert instance_count(zermelo(3000)) == 3001
+
+    def test_is_top_of_a_deep_chain(self):
+        assert is_top(zermelo(2), zermelo(3000))
+
+    def test_with_top_over_a_deep_chain(self):
+        # every tail of the chain from {{}} up has {{}} at its top
+        chain = zermelo(2000)
+        expected = constituent_set(chain) - {zermelo(0), zermelo(1)}
+        assert with_top(chain, zermelo(2)) is make_set(expected)
 
 
 class TestDeepPrograms:

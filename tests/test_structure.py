@@ -20,6 +20,7 @@ from conset import (
     graph_sum,
     isomorphic,
     map_union,
+    parse,
     simplest_set,
     structure_of,
     to_dot,
@@ -169,6 +170,12 @@ class TestSimplestSet:
 
     def test_diamond_needs_its_witness_element(self):
         assert simplest_set(structure_of(diamond())) is diamond()
+
+    def test_collision_takes_the_smallest_spare_constituent(self):
+        # {{},{{{}}}} covers only {{{}}}, and its first candidate {{{{}}}} is
+        # taken by the chain; of the spares {} and {{}}, the smaller is added
+        g = structure_of(parse("{{{},{{{}}}},{{},{{{{}}}}}}"))
+        assert simplest_set(g) is parse("{{{{{{}}}}},{{},{{{}}}}}")
 
     def test_realization_fixpoint_corpus(self, corpus200):
         for x in corpus200:
