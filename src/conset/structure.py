@@ -5,11 +5,16 @@ are abstract ids 0..n-1 (optionally tagged with the set each one came from),
 edges point from the smaller constituent to the one that covers it, and there
 is a single bottom (the empty set) and a single top (the whole set).
 
-Certificates come from color refinement with deterministic individualization
-and take the minimum over all branches, so two graphs get equal certificate
-bytes exactly when they are isomorphic.  Realization walks a diagram bottom-up
-and builds the least set whose diagram matches, adding far-down constituents
-as extra elements only when two vertices would otherwise collide.
+A certificate is the least leaf encoding of a color refinement and
+individualization tree that does not depend on the input labeling, so two
+graphs get equal certificate bytes exactly when they are isomorphic.  The
+search walks the tree with one explicit stack and skips subtrees whose leaves
+are images of leaves already seen under an automorphism: classes of twins
+split without branching, automorphisms found at equal leaves prune the
+children of the first path by orbit, and the path jumps back once its branch
+joins an explored orbit.  Realization walks a diagram bottom-up and builds the
+least set whose diagram matches, adding far-down constituents as extra
+elements only when two vertices would otherwise collide.
 """
 
 from __future__ import annotations
@@ -81,9 +86,10 @@ def structure_of(h: SetHandle) -> StructureGraph:
     edges: list[tuple[int, int]] = []
     for c in cons:
         for e in c.children:
-            if not any(
-                e2 is not e and is_constituent(e, e2) for e2 in c.children
-            ):
+            for e2 in c.children:
+                if e2 is not e and is_constituent(e, e2):
+                    break
+            else:
                 edges.append((index[e], index[c]))
     return StructureGraph(
         tags=tuple(cons),
@@ -147,15 +153,19 @@ def _refine(
     uppers: list[list[int]],
     colors: list[int],
 ) -> list[int]:
+    """Split color classes by neighbour colors until nothing splits.
+
+    Colors are dense ranks, and a class splits in place: the new rank sorts
+    by the old color first.
+    """
     while True:
-        sigs = [
-            (
-                colors[v],
-                tuple(sorted(colors[u] for u in lowers[v])),
-                tuple(sorted(colors[u] for u in uppers[v])),
-            )
-            for v in range(n)
-        ]
+        sigs = []
+        for v in range(n):
+            lo = [colors[u] for u in lowers[v]]
+            lo.sort()
+            up = [colors[u] for u in uppers[v]]
+            up.sort()
+            sigs.append((colors[v], tuple(lo), tuple(up)))
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [ranks[s] for s in sigs]
         if new == colors:
@@ -163,48 +173,139 @@ def _refine(
         colors = new
 
 
-def _canonical(g: StructureGraph) -> tuple[tuple, tuple[int, ...]]:
+def _split(colors: list[int], front: list[int], size: int) -> list[int]:
+    """Give the vertices of front, all of one class of the given size, one
+    singleton class each, in order, ahead of the rest of their class."""
+    c = colors[front[0]]
+    shift = len(front) if len(front) < size else size - 1
+    new = [x + shift if x >= c else x for x in colors]
+    for i, v in enumerate(front):
+        new[v] = c + i
+    return new
+
+
+def _inverse(lab: list[int]) -> list[int]:
+    inv = [0] * len(lab)
+    for v, pos in enumerate(lab):
+        inv[pos] = v
+    return inv
+
+
+def _find(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
+def _canonical(g: StructureGraph) -> tuple[tuple, list[int]]:
     """Canonical form and a labeling realizing it (vertex -> canonical index).
 
-    Individualization branches over every vertex of the first non-singleton
-    color class and keeps the minimum encoding, which makes the result
-    independent of the input labeling.
+    The form is the least leaf encoding of the individualization-refinement
+    tree: refine the colors, branch on each vertex of the first class that
+    is not a singleton, and at a leaf, where every class is a singleton,
+    encode the edges under the colors.  The tree does not depend on the
+    input labeling, so neither does its least leaf.  One explicit stack walks
+    it depth first and skips only subtrees whose leaves encode like leaves
+    already seen, so the least leaf is still found:
+
+    - Twin collapse: a target class of twins (equal lower and upper covers)
+      splits into singletons in one step.  Any order of twins is an
+      automorphism fixing every other vertex, so every branch leads to the
+      same encodings, and splitting twins leaves the coloring refined.
+    - Orbit pruning: a leaf that encodes like the first or the best leaf
+      yields an automorphism.  At a node of the first path, a child in the
+      orbit of an explored child (under the automorphisms found that fix
+      the path down to that node) has a subtree mapped onto the explored one.
+    - Jump-back: when such an automorphism puts the child at which the
+      current path leaves the first path into the orbit of an explored child,
+      the rest of that child's subtree is skipped.
     """
     n = g.n
     lowers, uppers = _adjacency(g)
+    for adj in lowers + uppers:
+        adj.sort()  # so that twins have equal lists
     level = _levels(g)
     base = [(level[v], len(lowers[v]), len(uppers[v])) for v in range(n)]
     ranks = {s: i for i, s in enumerate(sorted(set(base)))}
-    init = [ranks[s] for s in base]
+    colors = _refine(n, lowers, uppers, [ranks[s] for s in base])
 
-    best: list[tuple[tuple, tuple[int, ...]] | None] = [None]
-
-    def encode(lab: list[int]) -> tuple:
-        return (n, tuple(sorted((lab[a], lab[b]) for a, b in g.edges)))
-
-    def search(colors: list[int]) -> None:
-        colors = _refine(n, lowers, uppers, colors)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
+    first_path: list[int] = []  # vertex individualized below each first-path node
+    orbits: list[list[int]] = []  # per first-path node: union-find, min roots
+    first_form = best_form = None
+    stack: list[list] = []  # [colors, target class, index of the child taken]
+    div = n  # depth of the first frame whose child is not its first
+    while True:
+        # descend along first children to a leaf
+        while True:
+            count = [0] * n
+            for c in colors:
+                count[c] += 1
+            target = 0
+            while target < n and count[target] < 2:
+                target += 1
+            if target == n:
                 break
-        if target is None:
-            form = encode(colors)
-            if best[0] is None or form < best[0][0]:
-                best[0] = (form, tuple(colors))
-            return
-        for v in target:
-            branched = [(colors[u], 0 if u == v else 1) for u in range(n)]
-            rr = {s: i for i, s in enumerate(sorted(set(branched)))}
-            search([rr[s] for s in branched])
+            cell = [v for v in range(n) if colors[v] == target]
+            t0 = cell[0]
+            for v in cell:
+                if lowers[v] != lowers[t0] or uppers[v] != uppers[t0]:
+                    break
+            else:
+                colors = _split(colors, cell, len(cell))
+                continue
+            if first_form is None:
+                first_path.append(t0)
+                orbits.append(list(range(n)))
+            stack.append([colors, cell, 0])
+            colors = _refine(n, lowers, uppers, _split(colors, [t0], len(cell)))
 
-    search(init)
-    assert best[0] is not None
-    return best[0]
+        pairs = [(colors[a], colors[b]) for a, b in g.edges]
+        pairs.sort()
+        form = (n, tuple(pairs))
+        if first_form is None:
+            first_form = best_form = form
+            first_inv = best_inv = _inverse(colors)
+            best_lab = colors
+        elif form == first_form or form == best_form:
+            ref = first_inv if form == first_form else best_inv
+            gamma = [ref[c] for c in colors]  # an automorphism
+            fixed = 0
+            for v in first_path:
+                if gamma[v] != v:
+                    break
+                fixed += 1
+            # gamma fixes the first path down to depth `fixed`: its orbits
+            # hold for the children of the first-path nodes up to there
+            for parent in orbits[: fixed + 1]:
+                for v in range(n):
+                    a, b = _find(parent, v), _find(parent, gamma[v])
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+            # the branch taken where this path leaves the first path
+            frame = stack[div]
+            w = frame[1][frame[2]]
+            if _find(orbits[div], w) != w:
+                del stack[div + 1 :]
+        elif form < best_form:
+            best_form, best_inv, best_lab = form, _inverse(colors), colors
+
+        # backtrack to the next child not pruned
+        while stack:
+            d = len(stack) - 1
+            node, cell, i = stack[-1]
+            i += 1
+            if d <= div:
+                parent = orbits[d]
+                while i < len(cell) and _find(parent, cell[i]) != cell[i]:
+                    i += 1
+            if i < len(cell):
+                stack[-1][2] = i
+                div = min(div, d)
+                colors = _refine(n, lowers, uppers, _split(node, [cell[i]], len(cell)))
+                break
+            stack.pop()
+        else:
+            return best_form, best_lab
 
 
 def canonical_cert(g: StructureGraph) -> bytes:
@@ -221,13 +322,12 @@ def isomorphic(g1: StructureGraph, g2: StructureGraph) -> IsoWitness | None:
     form2, lab2 = _canonical(g2)
     if form1 != form2:
         return None
-    inv2 = [0] * g2.n
-    for v, pos in enumerate(lab2):
-        inv2[pos] = v
-    mapping = tuple(inv2[lab1[v]] for v in range(g1.n))
-    e1 = {(mapping[a], mapping[b]) for a, b in g1.edges}
-    assert e1 == set(g2.edges), "certificate matched but edges do not map"
-    assert mapping[g1.top] == g2.top and mapping[g1.bottom] == g2.bottom
+    inv2 = _inverse(lab2)
+    mapping = tuple([inv2[pos] for pos in lab1])
+    if {(mapping[a], mapping[b]) for a, b in g1.edges} != set(g2.edges):
+        raise AssertionError("certificate matched but edges do not map")
+    if mapping[g1.top] != g2.top or mapping[g1.bottom] != g2.bottom:
+        raise AssertionError("certificate matched but top or bottom does not map")
     return IsoWitness(mapping=mapping)
 
 

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the library's own algorithms:
 replacement is plain text substitution, covering edges come from a
 cubic-time transitive reduction, isomorphism from a backtracking search
-over vertex bijections, and realization from a collision-intolerant
-bottom-up rebuild.
+over vertex bijections, canonical forms from an unpruned individualization
+search, and realization from a collision-intolerant bottom-up rebuild.
 """
 from __future__ import annotations
 
@@ -172,6 +172,68 @@ def brute_iso(g1: StructureGraph, g2: StructureGraph) -> bool:
         return False
 
     return extend(0)
+
+
+def canonical_form_exhaustive(g: StructureGraph) -> tuple:
+    """The least leaf encoding over the whole individualization tree.
+
+    Color refinement from (level, in-degree, out-degree), then branching on
+    every vertex of the first non-singleton color class, with no pruning of
+    any kind.  The library's pruned search must reach the same minimum, so
+    repr(canonical_form_exhaustive(g)) is the certificate text.  Factorial on
+    symmetric shapes: keep n small.
+    """
+    n = g.n
+    lowers: list[list[int]] = [[] for _ in range(n)]
+    uppers: list[list[int]] = [[] for _ in range(n)]
+    for a, b in g.edges:
+        uppers[a].append(b)
+        lowers[b].append(a)
+    level = [0] * n
+    pending = [len(lowers[v]) for v in range(n)]
+    ready = [v for v in range(n) if not pending[v]]
+    while ready:
+        v = ready.pop()
+        for u in uppers[v]:
+            level[u] = max(level[u], level[v] + 1)
+            pending[u] -= 1
+            if not pending[u]:
+                ready.append(u)
+
+    def dense(keys: list) -> list[int]:
+        ranks = {s: i for i, s in enumerate(sorted(set(keys)))}
+        return [ranks[s] for s in keys]
+
+    def refine(colors: list[int]) -> list[int]:
+        while True:
+            new = dense([
+                (
+                    colors[v],
+                    tuple(sorted(colors[u] for u in lowers[v])),
+                    tuple(sorted(colors[u] for u in uppers[v])),
+                )
+                for v in range(n)
+            ])
+            if new == colors:
+                return colors
+            colors = new
+
+    best: list = []
+
+    def search(colors: list[int]) -> None:
+        colors = refine(colors)
+        for c in range(n):
+            cell = [v for v in range(n) if colors[v] == c]
+            if len(cell) > 1:
+                for v in cell:
+                    search(dense([(colors[u], u != v) for u in range(n)]))
+                return
+        form = (n, tuple(sorted((colors[a], colors[b]) for a, b in g.edges)))
+        if not best or form < best[0]:
+            best[:] = [form]
+
+    search(dense([(level[v], len(lowers[v]), len(uppers[v])) for v in range(n)]))
+    return best[0]
 
 
 def permute_graph(g: StructureGraph, perm: list[int]) -> StructureGraph:

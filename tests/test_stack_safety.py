@@ -6,19 +6,23 @@ more than the default limit, and nothing raises it behind the caller's back.
 """
 
 import io
+import random
 import sys
 from contextlib import redirect_stdout
 
 import pytest
 
-from _oracles import replace_by_text
+from _oracles import permute_graph, replace_by_text
 from conset import (
+    StructureGraph,
     as_vn,
+    canonical_cert,
     compose,
     constituent_set,
     evaluate,
     instance_count,
     is_top,
+    isomorphic,
     make_set,
     map_union,
     replace,
@@ -58,6 +62,24 @@ class TestDeepRebuilds:
         chain = zermelo(2000)
         expected = constituent_set(chain) - {zermelo(0), zermelo(1)}
         assert with_top(chain, zermelo(2)) is make_set(expected)
+
+
+class TestWideDiagrams:
+    def test_certificate_of_a_wide_fan(self):
+        # bottom 0 and top 1 joined by 1,200 chains of two edges, relabelled
+        k = 1200
+        edges = [(0, m) for m in range(2, k + 2)] + [(m, 1) for m in range(2, k + 2)]
+        fan = StructureGraph(
+            tags=(None,) * (k + 2), edges=tuple(edges), top=1, bottom=0
+        )
+        perm = list(range(k + 2))
+        random.Random(3).shuffle(perm)
+        relabelled = permute_graph(fan, perm)
+        assert canonical_cert(relabelled) == canonical_cert(fan)
+        w = isomorphic(fan, relabelled)
+        assert w is not None
+        mapped = {(w.mapping[a], w.mapping[b]) for a, b in fan.edges}
+        assert mapped == set(relabelled.edges)
 
 
 class TestDeepPrograms:

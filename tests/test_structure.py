@@ -2,11 +2,18 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import _oracles as oracles
+import conset
+import conset.structure as structure
 from conset import (
     POINT,
     StructureGraph,
@@ -28,6 +35,84 @@ from conset import (
 )
 from conset.numerals import vn, zermelo
 from conset.tuples import diamond
+
+
+def _fan(*lengths: int) -> StructureGraph:
+    """Bottom 0 and top 1 joined by one chain per length, of that many vertices."""
+    edges = []
+    nxt = 2
+    for k in lengths:
+        below = 0
+        for v in range(nxt, nxt + k):
+            edges.append((below, v))
+            below = v
+        edges.append((below, 1))
+        nxt += k
+    return StructureGraph(
+        tags=(None,) * nxt, edges=tuple(sorted(edges)), top=1, bottom=0
+    )
+
+
+def _layered_dag(seed: int) -> StructureGraph:
+    """A seeded random diagram on at most 9 vertices, edges between layers.
+
+    Each vertex gets lower covers from the layer below and at least one
+    upper cover in the layer above, so the bottom and the top are the only
+    source and sink; narrow layers make twins and automorphisms common.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    layers = [[0]]
+    v = 1
+    while v < n - 1:
+        k = rng.randint(1, min(3, n - 1 - v))
+        layers.append(list(range(v, v + k)))
+        v += k
+    layers.append([n - 1])
+    edges: set[tuple[int, int]] = set()
+    for below, above in zip(layers, layers[1:]):
+        for u in above:
+            for w in rng.sample(below, rng.randint(1, len(below))):
+                edges.add((w, u))
+        for w in below:
+            if all(a != w for a, _ in edges):
+                edges.add((w, rng.choice(above)))
+    return StructureGraph(
+        tags=(None,) * n, edges=tuple(sorted(edges)), top=n - 1, bottom=0
+    )
+
+
+SHAPES = {
+    "fan-1x5": _fan(1, 1, 1, 1, 1),
+    "fan-3x3": _fan(3, 3, 3),
+    "fan-2x2": _fan(2, 2),
+    "fan-1-3": _fan(1, 3),
+    "fan-1-2-3": _fan(1, 2, 3),
+    "fan-1-1-2-2": _fan(1, 1, 2, 2),
+    "fan-1-1-1-3-3": _fan(1, 1, 1, 3, 3),
+    "branch-fan-5": _fan(2, 2, 2, 2, 2),
+    "product-fan-1x2-fan-2x2": graph_product(_fan(1, 1), _fan(2, 2)),
+    "product-fan-1-2-fan-1x2": graph_product(_fan(1, 2), _fan(1, 1)),
+    "product-fan-2x2-fan-1x2": graph_product(_fan(2, 2), _fan(1, 1)),
+    **{f"layered-{seed}": _layered_dag(seed) for seed in range(40)},
+}
+
+
+def _relabelled(name: str) -> StructureGraph:
+    g = SHAPES[name]
+    perm = list(range(g.n))
+    random.Random(name).shuffle(perm)
+    return oracles.permute_graph(g, perm)
+
+
+# every pair of shapes that counts of vertices and edges cannot tell apart,
+# and every shape with a relabelled copy of itself, which must keep its
+# certificate
+SHAPE_PAIRS = [
+    (a, b)
+    for a, b in itertools.combinations(sorted(SHAPES), 2)
+    if (SHAPES[a].n, len(SHAPES[a].edges)) == (SHAPES[b].n, len(SHAPES[b].edges))
+] + [(a, a) for a in sorted(SHAPES)]
 
 
 class TestStructureOf:
@@ -129,6 +214,41 @@ class TestCanonicalCert:
             assert not oracles.brute_iso(g1, g2)
 
 
+class TestSymmetricShapes:
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_certificate_is_the_exhaustive_minimum(self, name):
+        g = SHAPES[name]
+        want = repr(oracles.canonical_form_exhaustive(g)).encode("ascii")
+        assert canonical_cert(g) == want
+
+    @pytest.mark.parametrize("first,second", SHAPE_PAIRS)
+    def test_agrees_with_brute_force(self, first, second):
+        g, h = SHAPES[first], _relabelled(second)
+        iso = oracles.brute_iso(g, h)
+        assert (canonical_cert(g) == canonical_cert(h)) == iso
+        w = isomorphic(g, h)
+        assert (w is not None) == iso
+        if w is not None:
+            assert {(w.mapping[a], w.mapping[b]) for a, b in g.edges} == set(h.edges)
+            assert w.mapping[g.top] == h.top and w.mapping[g.bottom] == h.bottom
+
+    def test_branch_fan_search_stays_polynomial(self, monkeypatch):
+        # k parallel two-vertex branches have k! leaves; pruning leaves about
+        # k*k/2 search nodes (36 at k=8), and without the orbit pruning, with
+        # jump-back alone, the count is already 148
+        k = 8
+        calls = []
+        refine = structure._refine
+
+        def counting(*args):
+            calls.append(None)
+            return refine(*args)
+
+        monkeypatch.setattr(structure, "_refine", counting)
+        canonical_cert(_fan(*[2] * k))
+        assert len(calls) <= k * k
+
+
 class TestIsomorphic:
     def test_scheme_witness_rows(self):
         w = isomorphic(structure_of(zermelo(5)), structure_of(vn(5)))
@@ -158,6 +278,42 @@ class TestIsomorphic:
             assert mapped == set(h.edges)
             assert w.mapping[g.top] == h.top
             assert w.mapping[g.bottom] == h.bottom
+
+    def test_witness_is_checked_without_asserts(self):
+        # python -O strips assert statements: a labelling that does not map
+        # the edges must still be refused there
+        script = textwrap.dedent(
+            """
+            import sys
+            import conset.structure as structure
+            from conset import chain_graph, isomorphic
+
+            g1, g2 = chain_graph(3), chain_graph(3)
+            canonical = structure._canonical
+
+            def mislabelled(g):
+                form, lab = canonical(g)
+                return form, (lab[::-1] if g is g2 else lab)
+
+            structure._canonical = mislabelled
+            try:
+                isomorphic(g1, g2)
+            except Exception as exc:
+                print(sys.flags.optimize, type(exc).__name__)
+            else:
+                print(sys.flags.optimize, "accepted")
+            """
+        )
+        src = Path(conset.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+            check=True,
+        )
+        assert out.stdout.split() == ["1", "AssertionError"]
 
 
 class TestSimplestSet:
