@@ -14,6 +14,7 @@ from .errors import EmptyHasNoMaximal, NoneFound, NotABottom, NotUnique
 from .kernel import (
     EMPTY,
     SetHandle,
+    _below,
     constituent_set,
     fold,
     is_constituent,
@@ -83,32 +84,26 @@ def has_bottom(b: SetHandle, a: SetHandle) -> bool:
     return is_constituent(a, b) and _bottoms(b, a)[b]
 
 
-def _height(w: SetHandle, kids: list[int]) -> int:
-    return 1 + max(kids)
-
-
-def _under_top(
-    c: SetHandle, b: SetHandle, rank: dict[SetHandle, int]
-) -> SetHandle | None:
-    """The a with c(a) = b, or None; rank is a height memo seeded {EMPTY: 0}.
+def _under_top(c: SetHandle, b: SetHandle) -> SetHandle | None:
+    """The a with c(a) = b, or None.
 
     For non-empty k the elements of k(a) are the j(a) for j in k, so
     rank(k(a)) = rank(k) + rank(a), and every node of c(a) above a ranks
     higher than a.  On any descent of b the first node of rank at most
     rank(b) - rank(c) is therefore the only candidate, so a witness is unique.
     """
-    target = fold(b, _height, rank) - fold(c, _height, rank)
+    target = b.rank - c.rank
     if target < 0:
         return None
     a = b
-    while rank[a] > target:
+    while a.rank > target:
         a = a.children[0]
     return a if compose(c, a) is b else None
 
 
 def is_top(c: SetHandle, b: SetHandle) -> bool:
     """True when c sits at the top of b: some a has c(a) = b."""
-    return _under_top(c, b, {EMPTY: 0}) is not None
+    return _under_top(c, b) is not None
 
 
 def remove_bottom(b: SetHandle, a: SetHandle) -> SetHandle:
@@ -120,18 +115,17 @@ def remove_bottom(b: SetHandle, a: SetHandle) -> SetHandle:
 
 def remove_top(c: SetHandle, b: SetHandle) -> SetHandle:
     """The unique a with c(a) = b when one exists, otherwise b itself."""
-    a = _under_top(c, b, {EMPTY: 0})
+    a = _under_top(c, b)
     return b if a is None else a
 
 
 def maximal_elements(handles: Iterable[SetHandle]) -> list[SetHandle]:
     """Members of the collection that lie strictly inside no other member."""
     hs = list(dict.fromkeys(handles))
-    return [
-        h
-        for h in hs
-        if not any(o is not h and is_constituent(h, o) for o in hs)
-    ]
+    if len(hs) < 2:
+        return hs
+    below = _below(hs)
+    return [h for h in hs if h not in below]
 
 
 def _only(found: list[SetHandle], what: str) -> SetHandle:
@@ -173,8 +167,9 @@ def lcc(a: SetHandle, b: SetHandle) -> SetHandle:
 
 
 def _with_bottom(a: SetHandle, b: SetHandle) -> list[SetHandle]:
-    found = _bottoms(a, b)
-    return [c for c in constituent_set(a) if found.get(c)]
+    if not is_constituent(b, a):
+        return []
+    return [c for c, held in _bottoms(a, b).items() if held]
 
 
 def max_with_bottom(a: SetHandle, b: SetHandle) -> SetHandle:
@@ -190,8 +185,7 @@ def max_with_bottom_unique(a: SetHandle, b: SetHandle) -> SetHandle:
 
 
 def _with_top(a: SetHandle, b: SetHandle) -> list[SetHandle]:
-    rank = {EMPTY: 0}
-    return [c for c in constituent_set(a) if _under_top(b, c, rank) is not None]
+    return [c for c in constituent_set(a) if _under_top(b, c) is not None]
 
 
 def with_top(a: SetHandle, b: SetHandle) -> SetHandle:

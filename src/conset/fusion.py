@@ -30,10 +30,11 @@ from .errors import (
 from .kernel import (
     EMPTY,
     SetHandle,
+    _below,
+    _shortlex,
     constituent_set,
     constituents,
     fold,
-    is_constituent,
     make_set,
 )
 from .numerals import as_zermelo, zermelo
@@ -114,13 +115,16 @@ def top_structure(h: SetHandle, offset: int = 0) -> TopStructure:
         raise NotAStructure("no position markers occur in the set")
     _require_contiguous(ks, offset)
     terminals = [position(k) for k in ks]
-    for x in constituents(h):
-        if not any(
-            is_constituent(x, t) or is_constituent(t, x) for t in terminals
-        ):
-            raise NotAStructure(
-                f"constituent bypasses every terminal: {x!r}"
-            )
+    # x passes when it holds a terminal (holds[x]) or lies inside one; the
+    # fold stops at terminals, so what it never reaches lies inside one
+    holds = dict.fromkeys(terminals, True)
+    fold(h, lambda w, kids: any(kids), holds)
+    inside = _below(terminals)
+    bypass = [x for x, held in holds.items() if not held and x not in inside]
+    if bypass:
+        raise NotAStructure(
+            f"constituent bypasses every terminal: {min(bypass, key=_shortlex)!r}"
+        )
     return TopStructure(set=h, arity=len(ks), offset=offset)
 
 
@@ -373,9 +377,12 @@ def has_bottom_structure(
     Searches substitution preimages of x: each subterm equal to a branch may
     have been a slot, and every combination of child preimages rebuilds a
     candidate.  Candidates that validate as offset-0 tops are verified by
-    actually fusing.  The search does not reconstruct tops whose distinct
-    slots collapsed to one subterm during fusion, so a False is definitive
-    only up to that documented limit; True is always verified.
+    actually fusing, so True is always right.  A candidate has one part per
+    subterm of x, so the search misses tops whose distinct parts merge under
+    fusion, which happens when one branch is built from another: with
+    branch 0 = {{}} and branch 1 = {}, the top {P(0), {P(1)}} fuses to
+    zermelo(2), yet has_bottom_structure(zermelo(2), b) is False.  A False
+    is definitive only for bottoms where no such merge can occur.
     """
     bv = _as_bottom(b)
     if bv.offset != 0:

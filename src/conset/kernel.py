@@ -6,6 +6,12 @@ tuple of child handles sorted by the shortlex order of their canonical text
 canonical text built from that ordering.  Because construction always goes
 through the intern table, handle identity coincides with set equality and
 every equality test in the package is a single pointer comparison.
+
+Besides its text, a handle records two numbers read off its children when it
+is built, its rank (nesting height) and its instance count, and caches
+nothing else; in particular no handle stores its constituents.  What lies
+inside what is answered by a walk over the DAG, bounded by rank: a set lies
+only inside sets of higher rank.
 """
 
 from __future__ import annotations
@@ -33,16 +39,27 @@ __all__ = [
 
 
 class SetHandle:
-    """A canonical pure finite set.  Obtain via make_set or parse only."""
+    """A canonical pure finite set.  Obtain via make_set or parse only.
 
-    __slots__ = ("uid", "children", "text", "_constituents", "_instances")
+    rank is the nesting height: 0 for {} (the only rank-0 set), otherwise one
+    more than the tallest element.  instances is the number of subterm
+    occurrences: one for the set plus the instances of each element.
+    """
+
+    __slots__ = ("uid", "children", "text", "rank", "instances")
 
     def __init__(self, uid: int, children: tuple["SetHandle", ...], text: str):
         self.uid = uid
         self.children = children
         self.text = text
-        self._constituents: frozenset[SetHandle] | None = None
-        self._instances: int | None = None
+        rank = 0
+        instances = 1
+        for c in children:
+            if c.rank >= rank:
+                rank = c.rank + 1
+            instances += c.instances
+        self.rank = rank
+        self.instances = instances
 
     def __repr__(self) -> str:
         t = self.text
@@ -177,19 +194,27 @@ def fold(
     return memo[h]
 
 
-def _cache_constituents(
-    node: SetHandle, kids: list[frozenset[SetHandle]]
-) -> frozenset[SetHandle]:
-    if node._constituents is None:
-        node._constituents = frozenset({node}.union(*kids))
-    return node._constituents
+def _below(roots: Iterable[SetHandle]) -> set[SetHandle]:
+    """Every proper constituent of some handle in roots.
+
+    A root inside another root is included, so the roots missing from the
+    result are the maximal ones.
+    """
+    below: set[SetHandle] = set()
+    stack = list(roots)
+    while stack:
+        for c in stack.pop().children:
+            if c not in below:
+                below.add(c)
+                stack.append(c)
+    return below
 
 
 def constituent_set(h: SetHandle) -> frozenset[SetHandle]:
     """All constituents of h (reflexive), as a frozenset of handles."""
-    if h._constituents is None:
-        fold(h, _cache_constituents, {})
-    return h._constituents
+    found = _below((h,))
+    found.add(h)
+    return frozenset(found)
 
 
 def constituents(h: SetHandle) -> list[SetHandle]:
@@ -198,18 +223,28 @@ def constituents(h: SetHandle) -> list[SetHandle]:
 
 
 def is_constituent(x: SetHandle, y: SetHandle) -> bool:
-    """True when x occurs somewhere inside y (reflexively)."""
-    return x is y or x in constituent_set(y)
+    """True when x occurs somewhere inside y (reflexively).
 
-
-def _cache_instances(node: SetHandle, kids: list[int]) -> int:
-    if node._instances is None:
-        node._instances = 1 + sum(kids)
-    return node._instances
+    Only nodes ranked above x can hold it, so the walk from y descends into
+    nothing else and stops at the first hit.  {} is inside every set.
+    """
+    if x is y or x is EMPTY:
+        return True
+    r = x.rank
+    if y.rank <= r:
+        return False
+    seen = {y}
+    stack = [y]
+    while stack:
+        for c in stack.pop().children:
+            if c is x:
+                return True
+            if c.rank > r and c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return False
 
 
 def instance_count(h: SetHandle) -> int:
     """Number of subterm occurrences in h: one for h plus all element instances."""
-    if h._instances is None:
-        fold(h, _cache_instances, {})
-    return h._instances
+    return h.instances

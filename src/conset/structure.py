@@ -26,8 +26,8 @@ from .errors import Unrealizable
 from .kernel import (
     EMPTY,
     SetHandle,
+    _below,
     _shortlex,
-    constituent_set,
     constituents,
     is_constituent,
     make_set,
@@ -87,7 +87,7 @@ def structure_of(h: SetHandle) -> StructureGraph:
     for c in cons:
         for e in c.children:
             for e2 in c.children:
-                if e2 is not e and is_constituent(e, e2):
+                if e2.rank > e.rank and is_constituent(e, e2):
                     break
             else:
                 edges.append((index[e], index[c]))
@@ -351,7 +351,7 @@ def simplest_set(g: StructureGraph) -> SetHandle:
         cand = make_set(chosen)
         while cand in used:
             # every realized vertex below v is a constituent of a lower cover
-            spare = frozenset().union(*map(constituent_set, chosen)) - chosen
+            spare = _below(chosen) - chosen
             if not spare:
                 raise Unrealizable(
                     f"vertex {v} collides and has no spare constituent to add"

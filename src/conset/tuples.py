@@ -22,7 +22,7 @@ from .algebra import (
     replace,
 )
 from .errors import NoSuchPosition
-from .kernel import EMPTY, SetHandle, constituent_set, is_constituent, make_set
+from .kernel import EMPTY, SetHandle, is_constituent, make_set
 from .numerals import zermelo
 
 __all__ = [
@@ -173,7 +173,7 @@ def decode_kuratowski(h: SetHandle) -> PairDecode:
         # b is a proper part of a: the diagram admits every proper part of
         # a as the second entry, so b is determined only when a has exactly
         # one proper part (a = {{}}, b = {}).
-        if len(constituent_set(a)) == 2:
+        if a.rank == 1:
             return PairDecode(a, b, PairDiagnosis.OK_UNIQUE_DEGENERATE, False)
         return PairDecode(a, None, PairDiagnosis.AMBIGUOUS_SECOND, False)
     return PairDecode(a, b, PairDiagnosis.OK, False)

@@ -1,14 +1,15 @@
 """Independent oracles for deriving expected test values.
 
 Everything here deliberately avoids the library's own algorithms:
-replacement is plain text substitution, covering edges come from a
-cubic-time transitive reduction, isomorphism from a backtracking search
-over vertex bijections, canonical forms from an unpruned individualization
-search, and realization from a collision-intolerant bottom-up rebuild.
+replacement is plain text substitution, constituency is substring search,
+covering edges come from a cubic-time transitive reduction, isomorphism
+from a backtracking search over vertex bijections, canonical forms from an
+unpruned individualization search, and realization from a
+collision-intolerant bottom-up rebuild.
 """
 from __future__ import annotations
 
-from conset import SetHandle, constituents, is_constituent, make_set, parse
+from conset import SetHandle, constituents, make_set, parse
 from conset.structure import StructureGraph
 
 
@@ -83,13 +84,32 @@ def position_indices_by_text(text: str) -> list[int]:
         n += 1
 
 
+def is_constituent_by_text(x: SetHandle, y: SetHandle) -> bool:
+    """x lies inside y (reflexively), by substring search.
+
+    A balanced canonical text occurs inside another canonical text only
+    where it is the text of a subterm: the brace that opens it is matched by
+    the brace that closes it.
+    """
+    return x.text in y.text
+
+
+def maximal_by_text(hs: list[SetHandle]) -> list[SetHandle]:
+    """Members lying strictly inside no other member, by pairwise search."""
+    return [
+        h
+        for h in hs
+        if not any(o is not h and is_constituent_by_text(h, o) for o in hs)
+    ]
+
+
 def _strictly_below(u: SetHandle, w: SetHandle) -> bool:
-    return u is not w and is_constituent(u, w)
+    return u is not w and is_constituent_by_text(u, w)
 
 
 def hasse_edges_brute(h: SetHandle) -> tuple[tuple[int, int], ...]:
     """Covering pairs of the constituency order, by cubic-time reduction."""
-    cons = constituents(h)
+    cons = sorted(constituents_brute(h), key=lambda c: (len(c.text), c.text))
     index = {c: i for i, c in enumerate(cons)}
     edges = []
     for u in cons:
@@ -276,7 +296,12 @@ def pure_realization(g: StructureGraph) -> dict[int, SetHandle] | None:
 
 
 def nesting_depth(h: SetHandle) -> int:
-    """Maximum brace nesting depth (empty set has depth 0)."""
-    if not h.children:
-        return 0
-    return 1 + max(nesting_depth(c) for c in h.children)
+    """Maximum brace nesting depth (empty set has depth 0), read off the text."""
+    depth = deepest = 0
+    for ch in h.text:
+        if ch == "{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == "}":
+            depth -= 1
+    return deepest - 1

@@ -8,6 +8,7 @@ by its branch's text in a single left-to-right pass.
 """
 
 import random
+import re
 
 import pytest
 
@@ -59,7 +60,12 @@ from conset.tuples import (
     position_path,
 )
 
-from _oracles import position_indices_by_text, simultaneous_replace_by_text
+from _oracles import (
+    constituents_brute,
+    is_constituent_by_text,
+    position_indices_by_text,
+    simultaneous_replace_by_text,
+)
 
 D = diamond()
 Z = zermelo
@@ -110,6 +116,36 @@ class TestValidators:
 
     def test_element_bypassing_every_slot_rejected(self):
         assert validate_top(make_set([position(0), vn(3)])) is None
+
+    def test_bypass_check_matches_text_oracle(self, corpus200):
+        # every constituent must hold a slot or lie inside one; the error
+        # names the shortlex-least constituent that does neither
+        rng = random.Random(17)
+        outcomes = set()
+        for x, y in zip(corpus200[:100], corpus200[100:]):
+            if rng.random() < 0.5:
+                y = compose(y, position(1))
+            h = make_set([compose(x, position(0)), position(1), y])
+            slots = [position(n) for n in position_indices_by_text(h.text)]
+            assert len(slots) == 2
+            bypass = sorted(
+                (
+                    c
+                    for c in constituents_brute(h)
+                    if not any(
+                        is_constituent_by_text(c, t) or is_constituent_by_text(t, c)
+                        for t in slots
+                    )
+                ),
+                key=lambda c: (len(c.text), c.text),
+            )
+            if bypass:
+                with pytest.raises(NotAStructure, match=re.escape(repr(bypass[0]))):
+                    top_structure(h)
+            else:
+                assert top_structure(h).arity == 2
+            outcomes.add(bool(bypass))
+        assert outcomes == {False, True}
 
     def test_empty_set_is_not_a_bottom(self):
         assert validate_bottom(empty()) is None
@@ -545,6 +581,22 @@ class TestDecompositionQueries:
         assert has_bottom_structure(x, b, budget=33)
         with pytest.raises(SearchBudgetExceeded):
             has_bottom_structure(x, b, budget=32)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="tops whose distinct parts merge under fusion are not rebuilt",
+    )
+    def test_bottom_with_a_branch_built_from_another(self):
+        # branch 0 = {{}} is {branch 1}, so the top's P(0) and {P(1)} both
+        # fuse to {{}} and the two-element top yields a one-element set
+        top = make_set([position(0), make_set([position(1)])])
+        b = make_set([branch(0, Z(1)), branch(1, empty())])
+        assert validate_top(top) is not None
+        assert validate_bottom(b) is not None
+        x = fuse(top, b)
+        assert x is Z(2)
+        assert has_top_structure(top, x)
+        assert has_bottom_structure(x, b)
 
     def test_nonzero_offset_rejected(self):
         tv = top_structure(make_set([position(1), position(2)]), offset=1)

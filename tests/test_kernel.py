@@ -1,6 +1,8 @@
 """Canonical text kernel: parsing, printing, interning, constituents."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,10 @@ from conset import (
     empty,
     instance_count,
     is_constituent,
+    lcc_set,
     make_set,
+    maximal_constituents,
+    maximal_elements,
     parse,
     replace,
     to_text,
@@ -194,6 +199,53 @@ class TestConstituency:
                 assert is_constituent(c, h)
 
 
+class TestInsideAgainstText:
+    """The kernel's walks and per-node facts against substring search.
+
+    The pool is every constituent of some corpus sets, so it holds {}, sets
+    nested in one another and many distinct sets of equal rank.
+    """
+
+    @pytest.fixture(scope="class")
+    def pool(self, corpus200):
+        return sorted(
+            set().union(*map(constituent_set, corpus200)),
+            key=lambda h: (len(h.text), h.text),
+        )
+
+    def test_is_constituent(self, pool):
+        equal_rank = inside = 0
+        for x in pool:
+            for y in pool:
+                found = is_constituent(x, y)
+                assert found is oracles.is_constituent_by_text(x, y)
+                equal_rank += x is not y and x.rank == y.rank
+                inside += x is not y and found
+        assert pool[0] is empty()
+        assert equal_rank > 1000 and inside > 100
+
+    def test_rank_is_nesting_depth(self, pool):
+        for h in pool:
+            assert h.rank == oracles.nesting_depth(h)
+
+    def test_maximal_elements(self, pool):
+        rng = random.Random(5)
+        for _ in range(300):
+            hs = rng.choices(pool, k=rng.randint(0, 12))
+            expected = oracles.maximal_by_text(list(dict.fromkeys(hs)))
+            assert maximal_elements(hs) == expected
+        for h in pool[1:]:
+            expected = make_set(oracles.maximal_by_text(list(h.children)))
+            assert maximal_constituents(h) is expected
+
+    def test_lcc_set(self, pool):
+        rng = random.Random(6)
+        for _ in range(300):
+            a, b = rng.sample(pool, 2)
+            common = oracles.constituents_brute(a) & oracles.constituents_brute(b)
+            assert lcc_set(a, b) is make_set(oracles.maximal_by_text(list(common)))
+
+
 class TestInstanceCount:
     def test_landmark_counts(self):
         assert instance_count(zermelo(5)) == 6
@@ -221,6 +273,10 @@ class TestDeepAndWideShapes:
         assert replace(x, y, z) is oracles.replace_by_text(x, y, z)
         assert compose(x, z) is oracles.replace_by_text(x, empty(), z)
         assert instance_count(x) == x.text.count("{")
+        assert x.rank == oracles.nesting_depth(x)
+        assert is_constituent(z, x) is oracles.is_constituent_by_text(z, x)
+        hs = list(x.children)
+        assert maximal_elements(hs) == oracles.maximal_by_text(hs)
 
     @settings(max_examples=25, deadline=None)
     @given(chains(), st.data())

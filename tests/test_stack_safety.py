@@ -8,6 +8,7 @@ more than the default limit, and nothing raises it behind the caller's back.
 import io
 import random
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
@@ -21,10 +22,12 @@ from conset import (
     constituent_set,
     evaluate,
     instance_count,
+    is_constituent,
     is_top,
     isomorphic,
     make_set,
     map_union,
+    maximal_constituents,
     replace,
     with_top,
 )
@@ -62,6 +65,42 @@ class TestDeepRebuilds:
         chain = zermelo(2000)
         expected = constituent_set(chain) - {zermelo(0), zermelo(1)}
         assert with_top(chain, zermelo(2)) is make_set(expected)
+
+
+class TestDeepConstituency:
+    def test_constituent_set_of_a_deep_chain_stays_small(self):
+        # a chain over vn(3) that no other test builds; memory must grow
+        # with the chain's 4,004 nodes, not with the square of its depth
+        chain = vn(3)
+        for _ in range(4000):
+            chain = make_set([chain])
+        tracemalloc.start()
+        try:
+            found = constituent_set(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 4004
+        assert peak < 5 * 2**20
+
+    def test_is_constituent_in_a_deep_chain(self):
+        chain = zermelo(3000)
+        assert is_constituent(zermelo(0), chain)
+        assert is_constituent(zermelo(1), chain)
+        assert is_constituent(zermelo(2999), chain)
+        assert not is_constituent(vn(2), chain)
+        assert not is_constituent(chain, zermelo(2999))
+        assert is_constituent(vn(2), compose(chain, vn(2)))
+
+    def test_maximal_constituents_of_deep_chains(self):
+        chain, half = zermelo(3000), zermelo(1500)
+        assert maximal_constituents(chain) is make_set([zermelo(2999)])
+        # half lies inside chain; half over vn(2) lies inside neither
+        assert maximal_constituents(make_set([chain, half])) is make_set([chain])
+        apart = compose(half, vn(2))
+        assert maximal_constituents(make_set([chain, apart])) is make_set(
+            [chain, apart]
+        )
 
 
 class TestWideDiagrams:
