@@ -68,18 +68,12 @@ def _tokenize(src: str) -> list[_Token]:
             toks.append(_Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
+        # isdecimal, not isdigit: int() rejects digits such as "²"
+        if ch.isdecimal() or (ch == "V" and src[i + 1 : i + 2].isdecimal()):
+            start = j = i + (ch == "V")
+            while j < n and src[j].isdecimal():
                 j += 1
-            toks.append(_Token("nat", src[i:j], i))
-            i = j
-            continue
-        if ch == "V" and i + 1 < n and src[i + 1].isdigit():
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Token("vnat", src[i + 1 : j], i))
+            toks.append(_Token("vnat" if ch == "V" else "nat", src[start:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":

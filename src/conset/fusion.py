@@ -33,7 +33,6 @@ from .kernel import (
     _below,
     _shortlex,
     constituent_set,
-    constituents,
     fold,
     make_set,
 )
@@ -319,6 +318,15 @@ def close(m: SetHandle | MiddleStructure) -> SetHandle:
     return fuse(make_tuple([EMPTY] * mv.arity), grounded)
 
 
+def _levels(h: SetHandle, depth: int) -> list[dict[SetHandle, None]]:
+    """levels[d]: the nodes that end a descent of exactly d steps from h, for
+    d up to depth, in the order a walk along element order first meets them."""
+    levels = [{h: None}]
+    for _ in range(depth):
+        levels.append(dict.fromkeys([c for w in levels[-1] for c in w.children]))
+    return levels
+
+
 def has_top_structure(
     t: SetHandle | TopStructure,
     x: SetHandle,
@@ -327,36 +335,30 @@ def has_top_structure(
 ) -> bool:
     """Whether x decomposes with t on top (t followed by some branches).
 
-    Complete search: any branch fused into x survives as a constituent of x,
-    so enumerating constituent assignments covers every decomposition, and a
-    decomposition exists iff some assignment both fuses to x and wraps into a
-    valid bottom structure (fusion never reads a bottom beyond its markers,
-    so the minimal marker set stands in for every bottom with those
-    branches).  Each assignment costs one budget unit; most are discarded by
-    an exact length bound (replacement is length-linear and canonical merging
-    only shrinks).
+    Complete search over candidates read off the shape: fusion rebuilds t
+    above its slots, which never nest, so a slot that ends a descent of d
+    steps from t becomes a branch that ends a descent of d steps from x.  A
+    decomposition exists iff some assignment of such candidates both fuses
+    to x and wraps into a valid bottom structure (fusion never reads a bottom
+    beyond its markers, so the minimal marker set stands in for every bottom
+    with those branches).  Each assignment tried costs one budget unit.
     """
     tv = _as_top(t)
     if tv.offset != 0:
         raise NotAStructure("decomposition queries require offset-0 slots")
     m = tv.arity
-    cons = constituents(x)
-    occ = [tv.set.text.count(position(n).text) for n in range(m)]
-    plen = [len(position(n).text) for n in range(m)]
-    base = len(tv.set.text)
-    target = len(x.text)
+    lt, lx = _levels(tv.set, tv.set.rank), _levels(x, tv.set.rank)
+    cands = []
+    for p in map(position, range(m)):
+        depths = [d for d, level in enumerate(lt) if p in level]
+        cands.append([a for a in lx[depths[0]] if all(a in lx[d] for d in depths)])
     spent = 0
-    for assign in itertools.product(cons, repeat=m):
+    for assign in itertools.product(*cands):
         spent += 1
         if spent > budget:
             raise SearchBudgetExceeded(
                 f"stopped after {budget} candidate assignments"
             )
-        predicted = base + sum(
-            o * (len(a.text) - pl) for o, a, pl in zip(occ, assign, plen)
-        )
-        if predicted < target:
-            continue
         if _fuse_formula(tv.set, assign) is not x:
             continue
         minimal = make_set(_branch(n, a) for n, a in enumerate(assign))

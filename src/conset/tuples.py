@@ -16,12 +16,12 @@ from functools import lru_cache
 from typing import Sequence
 
 from .algebra import (
+    _substitute,
     compose,
     compose_all,
     max_with_bottom_unique,
-    replace,
 )
-from .errors import NoSuchPosition
+from .errors import NoneFound, NoSuchPosition
 from .kernel import EMPTY, SetHandle, is_constituent, make_set
 from .numerals import zermelo
 
@@ -107,10 +107,11 @@ def get_at(t: SetHandle, coords: Sequence[int]) -> SetHandle:
     """The occupant of a nested slot: strip the marker from the unique
     maximal constituent that has it at the bottom."""
     marker = position_path(coords)
-    if not is_constituent(marker, t):
-        raise NoSuchPosition(f"no marker for path {list(coords)} inside {t!r}")
-    occupant_with_pad = max_with_bottom_unique(t, marker)
-    return replace(occupant_with_pad, marker, EMPTY)
+    try:
+        occupant_with_pad = max_with_bottom_unique(t, marker)
+    except NoneFound:
+        raise NoSuchPosition(f"no marker for path {list(coords)} inside {t!r}") from None
+    return _substitute(occupant_with_pad, {marker: EMPTY})
 
 
 def kuratowski_top() -> SetHandle:

@@ -9,6 +9,8 @@ collision-intolerant bottom-up rebuild.
 """
 from __future__ import annotations
 
+import itertools
+
 from conset import SetHandle, constituents, make_set, parse
 from conset.structure import StructureGraph
 
@@ -64,6 +66,12 @@ def simultaneous_replace_by_text(text: str, table: dict[str, str]) -> str:
     return "".join(out)
 
 
+def _diamond_text(x: str) -> str:
+    """Text of the diamond {{{x}},{x,{x}}} over the set with text x; shortlex
+    keeps its elements, and the elements of {x,{x}}, in that order."""
+    return "{{{" + x + "}},{" + x + ",{" + x + "}}}"
+
+
 def position_indices_by_text(text: str) -> list[int]:
     """Every n whose position-marker text occurs in text.
 
@@ -75,13 +83,37 @@ def position_indices_by_text(text: str) -> list[int]:
     found = []
     n = 0
     while True:
-        z = "{" * (n + 1) + "}" * (n + 1)
-        marker = "{{{" + z + "}},{" + z + ",{" + z + "}}}"
+        marker = _diamond_text("{" * (n + 1) + "}" * (n + 1))
         if len(marker) > len(text):
             return found
         if marker in text:
             found.append(n)
         n += 1
+
+
+def has_top_exhaustive(t: SetHandle, x: SetHandle) -> bool:
+    """Whether x decomposes with the offset-0 top t, trying every assignment
+    of constituents of x to the slots of t.
+
+    Fusion is one simultaneous substitution of each slot's marker text.  The
+    branch n is wrapped as n singletons over the diamond over it, and the
+    wrapped branches form a bottom structure exactly when no wrapped text
+    occurs inside another.
+    """
+    slots = [
+        _diamond_text("{" * (n + 1) + "}" * (n + 1))
+        for n in position_indices_by_text(t.text)
+    ]
+    for assign in itertools.product(constituents_brute(x), repeat=len(slots)):
+        table = {p: a.text for p, a in zip(slots, assign)}
+        if parse(simultaneous_replace_by_text(t.text, table)) is not x:
+            continue
+        wrapped = [
+            "{" * n + _diamond_text(a.text) + "}" * n for n, a in enumerate(assign)
+        ]
+        if not any(u != w and u in w for u in wrapped for w in wrapped):
+            return True
+    return False
 
 
 def is_constituent_by_text(x: SetHandle, y: SetHandle) -> bool:

@@ -49,6 +49,11 @@ class TestEval:
         assert out == ""
         assert err.startswith("syntax error: ")
 
+    def test_non_decimal_digit_exits_3(self, capsys):
+        code, out, err = run(capsys, "eval", "²")
+        assert (code, out) == (EXIT_SYNTAX, "")
+        assert err.startswith("syntax error: ")
+
 
 class TestCanonCardConstituentsInstances:
     def test_canon_normalizes(self, capsys):

@@ -32,6 +32,10 @@ class TestAtoms:
         assert evaluate("V0") is empty()
         assert evaluate("V3") is vn(3)
 
+    def test_decimal_digits_of_any_script(self):
+        assert evaluate("٣") is Z(3)
+        assert evaluate("V٣") is vn(3)
+
     def test_diamond(self):
         assert evaluate("D") is diamond()
 
@@ -137,6 +141,11 @@ class TestErrors:
     def test_syntax_errors(self, src):
         with pytest.raises(ExprSyntaxError):
             evaluate(src)
+
+    def test_digit_that_is_not_decimal(self):
+        # "²" passes str.isdigit, yet int() rejects it
+        with pytest.raises(ExprSyntaxError, match="unexpected character"):
+            evaluate("²")
 
     def test_trailing_input(self):
         with pytest.raises(ExprSyntaxError, match="trailing input"):

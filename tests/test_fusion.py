@@ -62,6 +62,7 @@ from conset.tuples import (
 
 from _oracles import (
     constituents_brute,
+    has_top_exhaustive,
     is_constituent_by_text,
     position_indices_by_text,
     simultaneous_replace_by_text,
@@ -573,14 +574,51 @@ class TestDecompositionQueries:
         # One unit per candidate, so the cheapest budget that answers is the
         # exact count a search spends; each fixed instance pins its own.
         pair = kuratowski_pair(Z(3), vn(3))
-        assert has_top_structure(kuratowski_top(), pair, budget=34)
+        assert has_top_structure(kuratowski_top(), pair, budget=2)
         with pytest.raises(SearchBudgetExceeded):
-            has_top_structure(kuratowski_top(), pair, budget=33)
+            has_top_structure(kuratowski_top(), pair, budget=1)
         b = sample_bottom(Z(1), Z(2), vn(2))
         x = fuse(grouping_top(), b)
         assert has_bottom_structure(x, b, budget=33)
         with pytest.raises(SearchBudgetExceeded):
             has_bottom_structure(x, b, budget=32)
+
+    def test_numerals_three_apart_lack_a_pair_top(self):
+        # the benchmark's has_top_budget probe: both slots of the pair top
+        # sit two steps down, where x holds only Z39, Z59 and Z79
+        x = make_set([Z(40), Z(60), Z(80)])
+        assert not has_top_structure(kuratowski_top(), x, budget=4000)
+        assert not has_top_structure(kuratowski_top(), x, budget=9)
+        with pytest.raises(SearchBudgetExceeded):
+            has_top_structure(kuratowski_top(), x, budget=8)
+
+    @pytest.mark.parametrize(
+        "top",
+        [
+            kuratowski_top(),
+            grouping_top(),
+            make_tuple([empty()] * 2),
+            make_tuple([vn(2), empty()]),
+            make_tuple([empty()] * 3),
+            make_set([position(0), make_set([position(1)])]),
+        ],
+        ids=["pair", "grouping", "tuple2", "tuple2_deep", "tuple3", "merging"],
+    )
+    def test_top_search_matches_exhaustive_oracle(self, top):
+        # the shape-narrowed search answers exactly as trying every
+        # assignment of constituents, on fusions onto top (mostly True) and
+        # on plain corpus sets (mostly False)
+        corpus = [h for h in generate(5, 400, max_depth=3) if len(h.text) <= 16]
+        rng = random.Random(61)
+        arity = validate_top(top).arity
+        answers = []
+        for _ in range(20):
+            fused = fuse_with_terminals(top, [rng.choice(corpus) for _ in range(arity)])
+            for x in (fused, rng.choice(corpus)):
+                expected = has_top_exhaustive(top, x)
+                assert has_top_structure(top, x) is expected
+                answers.append(expected)
+        assert set(answers) == {False, True}
 
     @pytest.mark.xfail(
         strict=True,
