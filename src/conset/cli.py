@@ -11,6 +11,7 @@ Exit codes: 0 success or true; 1 a negative answer (not isomorphic, false);
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import corpus as corpus_mod
@@ -87,7 +88,8 @@ def _scheme_of(operands: list[SetHandle], requested: str) -> str | None:
     return None
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conset",
         description="A calculus of hereditarily finite sets: canonical text, "
@@ -175,7 +177,11 @@ def main(argv: list[str] | None = None) -> int:
     p_corpus.add_argument("--count", type=int, default=10)
     p_corpus.add_argument("--max-depth", type=int, default=4)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     out = sys.stdout
 
     try:

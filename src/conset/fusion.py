@@ -347,11 +347,11 @@ def has_top_structure(
     if tv.offset != 0:
         raise NotAStructure("decomposition queries require offset-0 slots")
     m = tv.arity
-    lt, lx = _levels(tv.set, tv.set.rank), _levels(x, tv.set.rank)
-    cands = []
-    for p in map(position, range(m)):
-        depths = [d for d, level in enumerate(lt) if p in level]
-        cands.append([a for a in lx[depths[0]] if all(a in lx[d] for d in depths)])
+    lt = _levels(tv.set, tv.set.rank)
+    depths = [[d for d, lv in enumerate(lt) if p in lv] for p in map(position, range(m))]
+    # x is walked only to the deepest slot; lower levels are never read
+    lx = _levels(x, max((ds[-1] for ds in depths), default=0))
+    cands = [[a for a in lx[ds[0]] if all(a in lx[d] for d in ds)] for ds in depths]
     spent = 0
     for assign in itertools.product(*cands):
         spent += 1

@@ -1,11 +1,12 @@
 """Interned canonical handles for pure finite sets.
 
-Every distinct set is stored exactly once.  A handle keeps its elements as a
-tuple of child handles sorted by the shortlex order of their canonical text
-(length first, then lexicographic), with duplicates removed, and caches the
-canonical text built from that ordering.  Because construction always goes
-through the intern table, handle identity coincides with set equality and
-every equality test in the package is a single pointer comparison.
+Every distinct set is stored exactly once, keyed by the identities of its
+distinct elements, so finding a set already built reads no text.  A new
+handle keeps its elements as a tuple of child handles sorted by the shortlex
+order of their canonical text (length first, then lexicographic), and caches
+the canonical text built from that ordering.  Because construction always
+goes through the intern table, handle identity coincides with set equality
+and every equality test in the package is a single pointer comparison.
 
 Besides its text, a handle records two numbers read off its children when it
 is built, its rank (nesting height) and its instance count, and caches
@@ -76,7 +77,7 @@ class SetHandle:
     # identity-based __eq__/__hash__ are correct because of interning
 
 
-_table: dict[tuple[int, ...], SetHandle] = {}
+_table: dict[SetHandle | tuple[SetHandle, ...], SetHandle] = {}
 _ids = itertools.count()
 
 
@@ -86,12 +87,20 @@ def _shortlex(h: SetHandle) -> tuple[int, str]:
 
 
 def make_set(elems: Iterable[SetHandle]) -> SetHandle:
-    """The canonical set whose elements are the given handles."""
-    uniq = {e.uid: e for e in elems}
-    children = tuple(sorted(uniq.values(), key=_shortlex))
-    key = tuple(c.uid for c in children)
+    """The canonical set whose elements are the given handles.
+
+    Keyed by the only element, or else the distinct elements ordered by id (a
+    sort in C that reads no text); only a miss sorts by _shortlex.
+    """
+    uniq = frozenset(elems)
+    key = ()
+    if len(uniq) == 1:
+        (key,) = uniq
+    elif uniq:
+        key = tuple(sorted(uniq, key=id))
     h = _table.get(key)
     if h is None:
+        children = tuple(sorted(uniq, key=_shortlex))
         text = "{" + ",".join(c.text for c in children) + "}"
         # setdefault keeps insert-if-absent atomic; a racing duplicate loses
         h = _table.setdefault(key, SetHandle(next(_ids), children, text))

@@ -6,10 +6,14 @@ delegate to, plus exact exit codes.
 """
 
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import conset
 from conset import compose, constituents, make_set
 from conset.cli import EXIT_DOMAIN, EXIT_FALSE, EXIT_OK, EXIT_SYNTAX, main
 from conset.corpus import generate
@@ -303,3 +307,43 @@ class TestCorpus:
 
     def test_seed_changes_output(self, capsys):
         assert run(capsys, "corpus", "--seed", "1") != run(capsys, "corpus", "--seed", "2")
+
+
+class TestInProcessMatchesSubprocess:
+    """One in-process main serving calls in sequence answers like fresh processes."""
+
+    ARGVS = [
+        ["eval", "1(1)"],
+        ["num", "decode", "2", "--scheme", "vn"],
+        ["num", "decode", "2"],
+        ["num", "add", "1", "1", "--scheme", "vn"],
+        ["num", "encode", "3"],
+        ["structure", "V2", "--format", "json"],
+        ["tuple", "get", "(5, V2)", "1"],
+    ]
+
+    def test_outputs_and_exit_codes_agree(self, capsys, monkeypatch):
+        # argparse wraps usage text to the terminal width, so pin it for both
+        monkeypatch.setenv("COLUMNS", "80")
+        src = Path(conset.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        codes = []
+        for argv in self.ARGVS:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "conset.cli", *argv],
+                stdin=subprocess.DEVNULL,
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+            codes.append(code)
+        assert codes == [EXIT_OK, EXIT_DOMAIN, EXIT_OK, EXIT_OK, 2, EXIT_OK, EXIT_OK]

@@ -1,13 +1,18 @@
 """Canonical text kernel: parsing, printing, interning, constituents."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+import conset
 from conset import (
     MalformedText,
     cardinality,
@@ -98,6 +103,76 @@ class TestMakeSet:
         assert a is b
         assert a == b
         assert hash(a) == hash(b)
+
+
+class TestInternKey:
+    """The intern key depends on which elements are given, never on their order."""
+
+    @pytest.fixture
+    def shortlex_calls(self, monkeypatch):
+        calls = []
+        real = conset.kernel._shortlex
+
+        def counting(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(conset.kernel, "_shortlex", counting)
+        return calls
+
+    def test_hit_reads_no_shortlex_and_miss_reads_each_element_once(self, shortlex_calls):
+        others = [empty(), zermelo(1), vn(2), vn(3)]
+        # a set holding the newest handle was never made before
+        newest = max(conset.kernel._table.values(), key=lambda h: h.uid)
+        fresh = make_set([newest])
+        del shortlex_calls[:]
+        made = make_set([fresh, *others])
+        assert len(shortlex_calls) == 5
+        del shortlex_calls[:]
+        assert make_set(others[::-1] + [fresh] + others) is made
+        assert make_set([newest]) is fresh
+        assert parse(made.text) is made
+        assert shortlex_calls == []
+
+    def test_any_order_and_duplicates_find_the_set(self, corpus200):
+        rng = random.Random(9)
+        pool = set().union(*map(constituent_set, corpus200))
+        for c in sorted(pool, key=lambda h: (len(h.text), h.text)):
+            elems = list(c.children)
+            elems += rng.sample(elems, min(2, len(elems)))
+            rng.shuffle(elems)
+            assert make_set(elems) is c
+
+    def test_singleton_and_its_element_are_distinct(self, corpus200):
+        for x in set().union(*map(constituent_set, corpus200)):
+            assert make_set([x]).children == (x,)
+            assert make_set(x.children) is x
+            assert make_set([x]) is not x
+
+    def test_element_order_does_not_follow_creation_order(self, corpus200):
+        """A fresh process building the corpus backwards prints the same texts."""
+
+        def reversed_text(h):
+            return "{" + ",".join(map(reversed_text, reversed(h.children))) + "}"
+
+        script = (
+            "import sys\n"
+            "from conset import parse\n"
+            "texts = sys.stdin.read().split()\n"
+            "hs = [parse(t) for t in reversed(texts)][::-1]\n"
+            "print('\\n'.join(h.text for h in hs))\n"
+        )
+        src = Path(conset.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            input="\n".join(map(reversed_text, corpus200)),
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+            check=True,
+        )
+        assert out.stdout == "".join(h.text + "\n" for h in corpus200)
 
 
 class TestParse:
