@@ -23,8 +23,7 @@ x(y->z), or — with commas — composition with the tuple of the entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, NamedTuple
 
 from . import fusion
 from .algebra import compose, replace
@@ -38,8 +37,7 @@ __all__ = ["evaluate", "RESERVED"]
 RESERVED = frozenset({"let", "D", "P", "V", "M", "fuse", "close", "kpair"})
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # nat vnat ident arrow newline eof or the punct char itself
     text: str
     pos: int

@@ -15,8 +15,7 @@ by bounded search with exact verification.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .algebra import _maximal_proper, _substitute, compose
 from .errors import (
@@ -68,15 +67,13 @@ DEFAULT_BUDGET = 100_000
 S = TypeVar("S")
 
 
-@dataclass(frozen=True)
-class TopStructure:
+class TopStructure(NamedTuple):
     set: SetHandle
     arity: int
     offset: int = 0
 
 
-@dataclass(frozen=True)
-class BottomStructure:
+class BottomStructure(NamedTuple):
     set: SetHandle
     arity: int
     offset: int = 0
@@ -84,8 +81,7 @@ class BottomStructure:
     markers: tuple[SetHandle, ...] = ()
 
 
-@dataclass(frozen=True)
-class MiddleStructure:
+class MiddleStructure(NamedTuple):
     set: SetHandle
     arity: int
     offset: int = 0
@@ -230,17 +226,23 @@ def match_terminals(
     t: SetHandle | TopStructure, b: SetHandle | BottomStructure
 ) -> bool:
     """Whether every slot of t pairs with the equally numbered marker of b."""
-    return _matches(_as_top(t), _as_bottom(b))
+    return _paired_branches(_as_top(t), _as_bottom(b)) is not None
 
 
-def _matches(tv: TopStructure, bv: BottomStructure) -> bool:
+def _paired_branches(
+    tv: TopStructure, bv: BottomStructure
+) -> list[SetHandle] | None:
+    """The branches of bv in slot order, or None when arity, offset or marker
+    numbering do not pair with the slots of tv."""
     if tv.arity != bv.arity or tv.offset != bv.offset:
-        return False
+        return None
     try:
-        ns = [_parse_marker(m)[0] for m in bv.markers]
+        parsed = [_parse_marker(m) for m in bv.markers]
     except NotAStructure:
-        return False
-    return ns == list(range(tv.offset, tv.offset + tv.arity))
+        return None
+    if [n for n, _ in parsed] != list(range(tv.offset, tv.offset + tv.arity)):
+        return None
+    return [x for _, x in parsed]
 
 
 def _fuse_formula(top: SetHandle, terms: Sequence[SetHandle]) -> SetHandle:
@@ -253,11 +255,11 @@ def fuse(t: SetHandle | TopStructure, b: SetHandle | BottomStructure) -> SetHand
     tv, bv = _as_top(t), _as_bottom(b)
     if tv.offset != 0 or bv.offset != 0:
         raise TerminalMismatch("fusion requires marker indices starting at 0")
-    if not _matches(tv, bv):
+    terms = _paired_branches(tv, bv)
+    if terms is None:
         raise TerminalMismatch(
             f"slots (arity {tv.arity}) do not match markers (arity {bv.arity})"
         )
-    terms = [bottom_terminal(bv, n) for n in range(bv.arity)]
     return _fuse_formula(tv.set, terms)
 
 

@@ -143,7 +143,8 @@ def parse(text: str) -> SetHandle:
                 raise MalformedText(f"unmatched close brace at offset {i}")
             if expect_item and stack[-1]:
                 raise MalformedText(f"dangling comma before offset {i}")
-            h = make_set(stack.pop())
+            items = stack.pop()
+            h = make_set(items) if items else EMPTY
             if stack:
                 stack[-1].append(h)
             else:

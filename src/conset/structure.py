@@ -20,7 +20,7 @@ elements only when two vertices would otherwise collide.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Unrealizable
 from .kernel import (
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StructureGraph:
+class StructureGraph(NamedTuple):
     tags: tuple[SetHandle | None, ...]
     edges: tuple[tuple[int, int], ...]  # (lower, upper) covering pairs
     top: int
@@ -64,8 +63,7 @@ class StructureGraph:
         return len(self.tags)
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(NamedTuple):
     """Vertex bijection first graph -> second graph, validated order-preserving."""
 
     mapping: tuple[int, ...]

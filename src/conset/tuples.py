@@ -11,9 +11,8 @@ encoding loses information.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     _substitute,
@@ -126,8 +125,7 @@ class PairDiagnosis(enum.Enum):
     NOT_A_PAIR_SHAPE = "not-a-pair-shape"
 
 
-@dataclass(frozen=True)
-class PairDecode:
+class PairDecode(NamedTuple):
     first: SetHandle | None
     second: SetHandle | None
     diagnosis: PairDiagnosis

@@ -185,6 +185,20 @@ class TestParse:
     def test_collapses_duplicates(self):
         assert parse("{{},{}}") is zermelo(1)
 
+    def test_empty_leaves_build_nothing(self, monkeypatch):
+        calls = []
+        real = conset.kernel.make_set
+
+        def counting(elems):
+            calls.append(elems)
+            return real(elems)
+
+        monkeypatch.setattr(conset.kernel, "make_set", counting)
+        assert parse("{{},{{}}}") is vn(2)
+        assert len(calls) == 2
+        assert parse(" { } ") is empty()
+        assert len(calls) == 2
+
     @pytest.mark.parametrize(
         "bad",
         ["", "{", "}", "{{},", "}{", "{}{}", "{,}", "{x}", "{{}}}", "{},"],
