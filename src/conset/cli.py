@@ -66,6 +66,13 @@ def _parse_path(text: str) -> list[int]:
     return coords
 
 
+def _budget(text: str) -> int:
+    """argparse type of --budget: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return int(text)
+
+
 def _scheme_of(operands: list[SetHandle], requested: str) -> str | None:
     """Resolve --scheme auto to the one scheme every operand is a numeral of.
 
@@ -164,7 +171,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_fuse.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=fusion.DEFAULT_BUDGET,
         help="search bound for --check-top/--check-bottom",
     )

@@ -12,6 +12,7 @@ __all__ = [
     "EmptyHasNoMaximal",
     "NotANumeral",
     "Unrealizable",
+    "MalformedGraph",
     "NoSuchPosition",
     "NotAStructure",
     "TerminalMismatch",
@@ -62,6 +63,11 @@ class NotANumeral(CalculusError):
 
 class Unrealizable(CalculusError):
     """No set realizes the requested structure diagram."""
+
+
+class MalformedGraph(CalculusError, ValueError):
+    """The diagram is not a well-formed covering diagram, or its JSON has
+    another shape; a ValueError too, for check_graph's callers."""
 
 
 class NoSuchPosition(CalculusError):

@@ -92,10 +92,15 @@ def _branch(n: int, x: SetHandle) -> SetHandle:
     return compose(zermelo(n), compose(diamond(), x))
 
 
-def _terminal_indices(h: SetHandle) -> list[int]:
-    """All n whose position marker (the diamond over zermelo(n)) occurs inside h."""
-    ks = (as_zermelo(x) for x in map(_unpad, constituent_set(h)) if x is not None)
-    return sorted(n for n in ks if n is not None)
+def _slot(w: SetHandle) -> int | None:
+    """n when w is the position marker of slot n (the diamond over zermelo(n))."""
+    x = _unpad(w)
+    return None if x is None else as_zermelo(x)
+
+
+def _terminals(h: SetHandle) -> dict[int, SetHandle]:
+    """The position markers that occur inside h, by slot number."""
+    return {n: w for w in constituent_set(h) if (n := _slot(w)) is not None}
 
 
 def _require_contiguous(ks: list[int], offset: int) -> None:
@@ -105,22 +110,21 @@ def _require_contiguous(ks: list[int], offset: int) -> None:
 
 def top_structure(h: SetHandle, offset: int = 0) -> TopStructure:
     """Validate h as a top structure (strict: raises NotAStructure)."""
-    ks = _terminal_indices(h)
-    if not ks:
+    terminals = _terminals(h)
+    if not terminals:
         raise NotAStructure("no position markers occur in the set")
-    _require_contiguous(ks, offset)
-    terminals = [position(k) for k in ks]
+    _require_contiguous(sorted(terminals), offset)
     # x passes when it holds a terminal (holds[x]) or lies inside one; the
     # fold stops at terminals, so what it never reaches lies inside one
-    holds = dict.fromkeys(terminals, True)
+    holds = dict.fromkeys(terminals.values(), True)
     fold(h, lambda w, kids: any(kids), holds)
-    inside = _below(terminals)
+    inside = _below(terminals.values())
     bypass = [x for x, held in holds.items() if not held and x not in inside]
     if bypass:
         raise NotAStructure(
             f"constituent bypasses every terminal: {min(bypass, key=_shortlex)!r}"
         )
-    return TopStructure(set=h, arity=len(ks), offset=offset)
+    return TopStructure(set=h, arity=len(terminals), offset=offset)
 
 
 def _parse_marker(m: SetHandle) -> tuple[int, SetHandle]:
@@ -169,8 +173,7 @@ def middle_structure(h: SetHandle, offset: int = 0) -> MiddleStructure:
         raise NotAStructure(
             f"slot arity {t.arity} differs from marker arity {b.arity}"
         )
-    terminals = {position(offset + i) for i in range(t.arity)}
-    if terminals & set(b.markers):
+    if any(_slot(m) is not None for m in b.markers):
         raise NotAStructure("a bare position marker doubles as a branch marker")
     return MiddleStructure(set=h, arity=t.arity, offset=offset)
 
@@ -196,26 +199,20 @@ def validate_middle(h: SetHandle, offset: int = 0) -> MiddleStructure | None:
     return _or_none(middle_structure, h, offset)
 
 
-def _as_top(t: SetHandle | TopStructure) -> TopStructure:
-    if not isinstance(t, TopStructure):
-        return top_structure(t)
-    tv = top_structure(t.set, t.offset)
-    if tv != t:
-        raise NotAStructure(f"the set has {tv.arity} slots, not {t.arity}")
-    return tv
-
-
-def _as_bottom(b: SetHandle | BottomStructure) -> BottomStructure:
-    return b if isinstance(b, BottomStructure) else bottom_structure(b)
-
-
-def _as_middle(m: SetHandle | MiddleStructure) -> MiddleStructure:
-    return m if isinstance(m, MiddleStructure) else middle_structure(m)
+def _as(strict: Callable[[SetHandle, int], S], r: SetHandle | S) -> S:
+    """A set validated by strict at offset 0, or a record re-validated against
+    its own set: NotAStructure unless the record is what strict reads there."""
+    if isinstance(r, SetHandle):
+        return strict(r, 0)
+    v = strict(r.set, r.offset)
+    if v != r:
+        raise NotAStructure(f"the record does not describe its set (arity {v.arity})")
+    return v
 
 
 def bottom_terminal(b: SetHandle | BottomStructure, n: int) -> SetHandle:
     """Branch n of a bottom structure: the marker with its wrapping removed."""
-    bv = _as_bottom(b)
+    bv = _as(bottom_structure, b)
     i = n - bv.offset
     if not 0 <= i < bv.arity:
         raise IndexOutOfRange(f"no marker {n} (arity {bv.arity}, offset {bv.offset})")
@@ -226,23 +223,8 @@ def match_terminals(
     t: SetHandle | TopStructure, b: SetHandle | BottomStructure
 ) -> bool:
     """Whether every slot of t pairs with the equally numbered marker of b."""
-    return _paired_branches(_as_top(t), _as_bottom(b)) is not None
-
-
-def _paired_branches(
-    tv: TopStructure, bv: BottomStructure
-) -> list[SetHandle] | None:
-    """The branches of bv in slot order, or None when arity, offset or marker
-    numbering do not pair with the slots of tv."""
-    if tv.arity != bv.arity or tv.offset != bv.offset:
-        return None
-    try:
-        parsed = [_parse_marker(m) for m in bv.markers]
-    except NotAStructure:
-        return None
-    if [n for n, _ in parsed] != list(range(tv.offset, tv.offset + tv.arity)):
-        return None
-    return [x for _, x in parsed]
+    tv, bv = _as(top_structure, t), _as(bottom_structure, b)
+    return tv.arity == bv.arity and tv.offset == bv.offset
 
 
 def _fuse_formula(top: SetHandle, terms: Sequence[SetHandle]) -> SetHandle:
@@ -252,22 +234,25 @@ def _fuse_formula(top: SetHandle, terms: Sequence[SetHandle]) -> SetHandle:
 
 def fuse(t: SetHandle | TopStructure, b: SetHandle | BottomStructure) -> SetHandle:
     """Join a top structure onto a bottom structure along numbered slots."""
-    tv, bv = _as_top(t), _as_bottom(b)
+    return _fuse(_as(top_structure, t), _as(bottom_structure, b))
+
+
+def _fuse(tv: TopStructure, bv: BottomStructure) -> SetHandle:
     if tv.offset != 0 or bv.offset != 0:
         raise TerminalMismatch("fusion requires marker indices starting at 0")
-    terms = _paired_branches(tv, bv)
-    if terms is None:
+    if tv.arity != bv.arity:
         raise TerminalMismatch(
             f"slots (arity {tv.arity}) do not match markers (arity {bv.arity})"
         )
-    return _fuse_formula(tv.set, terms)
+    # a validated bottom's markers parse and are numbered in slot order
+    return _fuse_formula(tv.set, [_parse_marker(m)[1] for m in bv.markers])
 
 
 def fuse_with_terminals(
     t: SetHandle | TopStructure, terms: Sequence[SetHandle]
 ) -> SetHandle:
     """Fuse bare branches onto a top structure's slots (no marker wrapping)."""
-    tv = _as_top(t)
+    tv = _as(top_structure, t)
     if tv.offset != 0:
         raise TerminalMismatch("fusion requires marker indices starting at 0")
     if len(terms) != tv.arity:
@@ -302,10 +287,11 @@ def fuse_middle(
     a: SetHandle | MiddleStructure, b: SetHandle | MiddleStructure
 ) -> MiddleStructure:
     """Fuse a (as top) onto b (as bottom); middle structures form a monoid."""
-    av, bv = _as_middle(a), _as_middle(b)
+    av, bv = _as(middle_structure, a), _as(middle_structure, b)
     if av.arity != bv.arity:
         raise ArityMismatch(f"arity {av.arity} fused with arity {bv.arity}")
-    return middle_structure(fuse(av.set, bv.set))
+    # a middle is a top with the same fields
+    return middle_structure(_fuse(TopStructure(*av), bottom_structure(bv.set, bv.offset)))
 
 
 def close(m: SetHandle | MiddleStructure) -> SetHandle:
@@ -315,9 +301,12 @@ def close(m: SetHandle | MiddleStructure) -> SetHandle:
     bottom structure; fusing the all-empty tuple on top then grounds the
     markers, so each branch lands as a plain element.
     """
-    mv = _as_middle(m)
-    grounded = fuse_with_terminals(mv.set, [EMPTY] * mv.arity)
-    return fuse(make_tuple([EMPTY] * mv.arity), grounded)
+    mv = _as(middle_structure, m)
+    if mv.offset != 0:
+        raise TerminalMismatch("fusion requires marker indices starting at 0")
+    grounded = _fuse_formula(mv.set, [EMPTY] * mv.arity)
+    flat = TopStructure(make_tuple([EMPTY] * mv.arity), mv.arity)
+    return _fuse(flat, bottom_structure(grounded))
 
 
 def _levels(h: SetHandle, depth: int) -> list[dict[SetHandle, None]]:
@@ -345,7 +334,9 @@ def has_top_structure(
     beyond its markers, so the minimal marker set stands in for every bottom
     with those branches).  Each assignment tried costs one budget unit.
     """
-    tv = _as_top(t)
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    tv = _as(top_structure, t)
     if tv.offset != 0:
         raise NotAStructure("decomposition queries require offset-0 slots")
     m = tv.arity
@@ -388,11 +379,13 @@ def has_bottom_structure(
     zermelo(2), yet has_bottom_structure(zermelo(2), b) is False.  A False
     is definitive only for bottoms where no such merge can occur.
     """
-    bv = _as_bottom(b)
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    bv = _as(bottom_structure, b)
     if bv.offset != 0:
         raise NotAStructure("decomposition queries require offset-0 markers")
     m = bv.arity
-    terms = [bottom_terminal(bv, n) for n in range(m)]
+    terms = [_parse_marker(mk)[1] for mk in bv.markers]
     spent = 0
 
     def preimages(w: SetHandle, child_opts: list[list[SetHandle]]) -> list[SetHandle]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import Unrealizable
+from .errors import MalformedGraph, Unrealizable
 from .kernel import (
     EMPTY,
     SetHandle,
@@ -97,40 +97,29 @@ def structure_of(h: SetHandle) -> StructureGraph:
     )
 
 
-def _adjacency(g: StructureGraph) -> tuple[list[list[int]], list[list[int]]]:
-    lowers: list[list[int]] = [[] for _ in range(g.n)]
-    uppers: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in g.edges:
-        uppers[a].append(b)
-        lowers[b].append(a)
-    return lowers, uppers
-
-
-def check_graph(g: StructureGraph) -> None:
-    """Raise ValueError unless g is a well-formed covering diagram."""
+def _diagram(g: StructureGraph) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Lower covers, upper covers and longest-path level above the bottom of
+    each vertex, read in one pass that raises MalformedGraph unless g is a
+    well-formed covering diagram."""
     n = g.n
     if n == 0:
-        raise ValueError("graph has no vertices")
+        raise MalformedGraph("graph has no vertices")
+    lowers: list[list[int]] = [[] for _ in range(n)]
+    uppers: list[list[int]] = [[] for _ in range(n)]
     for a, b in g.edges:
         if not (0 <= a < n and 0 <= b < n) or a == b:
-            raise ValueError(f"bad edge ({a}, {b})")
+            raise MalformedGraph(f"bad edge ({a}, {b})")
+        uppers[a].append(b)
+        lowers[b].append(a)
     if len(set(g.edges)) != len(g.edges):
-        raise ValueError("duplicate edges")
-    lowers, uppers = _adjacency(g)
-    if n > 1:
-        sources = [v for v in range(n) if not lowers[v]]
-        sinks = [v for v in range(n) if not uppers[v]]
-        if sources != [g.bottom] or sinks != [g.top]:
-            raise ValueError("graph must have a single bottom and a single top")
-    _levels(g)  # raises on cycles
-
-
-def _levels(g: StructureGraph) -> list[int]:
-    """Longest-path height of each vertex above the bottom."""
-    lowers, uppers = _adjacency(g)
-    indeg = [len(lowers[v]) for v in range(g.n)]
-    level = [0] * g.n
-    queue = [v for v in range(g.n) if indeg[v] == 0]
+        raise MalformedGraph("duplicate edges")
+    sources = [v for v in range(n) if not lowers[v]]
+    sinks = [v for v in range(n) if not uppers[v]]
+    if sources != [g.bottom] or sinks != [g.top]:
+        raise MalformedGraph("graph must have a single bottom and a single top")
+    indeg = [len(lo) for lo in lowers]
+    level = [0] * n
+    queue = [g.bottom]
     seen = 0
     while queue:
         v = queue.pop()
@@ -140,9 +129,14 @@ def _levels(g: StructureGraph) -> list[int]:
             indeg[u] -= 1
             if indeg[u] == 0:
                 queue.append(u)
-    if seen != g.n:
-        raise ValueError("graph has a cycle")
-    return level
+    if seen != n:
+        raise MalformedGraph("graph has a cycle")
+    return lowers, uppers, level
+
+
+def check_graph(g: StructureGraph) -> None:
+    """Raise MalformedGraph (a ValueError) unless g is a well-formed covering diagram."""
+    _diagram(g)
 
 
 def _refine(
@@ -219,10 +213,9 @@ def _canonical(g: StructureGraph) -> tuple[tuple, list[int]]:
       the rest of that child's subtree is skipped.
     """
     n = g.n
-    lowers, uppers = _adjacency(g)
+    lowers, uppers, level = _diagram(g)
     for adj in lowers + uppers:
         adj.sort()  # so that twins have equal lists
-    level = _levels(g)
     base = [(level[v], len(lowers[v]), len(uppers[v])) for v in range(n)]
     ranks = {s: i for i, s in enumerate(sorted(set(base)))}
     colors = _refine(n, lowers, uppers, [ranks[s] for s in base])
@@ -315,6 +308,8 @@ def canonical_cert(g: StructureGraph) -> bytes:
 def isomorphic(g1: StructureGraph, g2: StructureGraph) -> IsoWitness | None:
     """A validated vertex bijection when the graphs are isomorphic, else None."""
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+        check_graph(g1)
+        check_graph(g2)
         return None
     form1, lab1 = _canonical(g1)
     form2, lab2 = _canonical(g2)
@@ -337,9 +332,7 @@ def simplest_set(g: StructureGraph) -> SetHandle:
     at least two levels further down are added one at a time, canonically
     smallest first, until the candidate is fresh.
     """
-    check_graph(g)
-    lowers, _ = _adjacency(g)
-    level = _levels(g)
+    lowers, _, level = _diagram(g)
     order = sorted(range(g.n), key=lambda v: (level[v], v))
 
     realized: dict[int, SetHandle] = {}
@@ -432,7 +425,7 @@ def chain_graph(k: int) -> StructureGraph:
 
 def to_dot(g: StructureGraph) -> str:
     """Graphviz digraph, edges lower -> upper, one rank per level."""
-    level = _levels(g)
+    _, _, level = _diagram(g)
     lines = ["digraph constituent_structure {", "  rankdir=BT;", "  node [shape=box];"]
     for lvl in range(max(level) + 1):
         members = [v for v in range(g.n) if level[v] == lvl]
@@ -465,15 +458,28 @@ def to_json(g: StructureGraph) -> str:
 
 
 def graph_from_json(text: str) -> StructureGraph:
+    """The diagram to_json wrote; MalformedGraph when the JSON has another shape."""
     obj = json.loads(text)
-    vertices = obj["vertices"]
+    if not isinstance(obj, dict) or not {"vertices", "edges", "top", "bottom"} <= obj.keys():
+        raise MalformedGraph("expected an object with vertices, edges, top and bottom")
+    vertices, edges = obj["vertices"], obj["edges"]
+    if not isinstance(vertices, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("set", ""), str) for e in vertices
+    ):
+        raise MalformedGraph("vertices must be a list of objects, each set a text")
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise MalformedGraph("edges must be a list of pairs")
+    ids = [e.get("id") for e in vertices]
+    ints = [*ids, *(v for e in edges for v in e), obj["top"], obj["bottom"]]
+    if not all(type(v) is int for v in ints) or sorted(ids) != list(range(len(ids))):
+        raise MalformedGraph(f"ids, edge ends, top and bottom must be ints, ids 0..{len(ids) - 1}")
     tags: list[SetHandle | None] = [None] * len(vertices)
     for entry in vertices:
         if "set" in entry:
             tags[entry["id"]] = parse(entry["set"])
     g = StructureGraph(
         tags=tuple(tags),
-        edges=tuple(sorted((a, b) for a, b in obj["edges"])),
+        edges=tuple(sorted((a, b) for a, b in edges)),
         top=obj["top"],
         bottom=obj["bottom"],
     )

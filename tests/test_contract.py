@@ -1,0 +1,285 @@
+"""The public contract at the boundary.
+
+Hand-built diagrams and fusion records are validated where they enter, so a
+malformed one raises a CalculusError (MalformedGraph, NotAStructure), never a
+bare IndexError, KeyError, AttributeError or AssertionError from deeper
+down; a budget below 1 is a bad argument value (ValueError).  A record is
+re-checked against its own set once, so passing it costs the same scans as
+passing the set.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conset import fusion
+from conset.algebra import compose_all
+from conset.cli import main
+from conset.errors import CalculusError, MalformedGraph, NotAStructure
+from conset.fusion import (
+    BottomStructure,
+    MiddleStructure,
+    TopStructure,
+    bottom_terminal,
+    close,
+    fuse,
+    fuse_middle,
+    fuse_with_terminals,
+    has_bottom_structure,
+    has_top_structure,
+    match_terminals,
+    middle,
+    middle_permutation,
+    validate_bottom,
+    validate_middle,
+    validate_top,
+)
+from conset.kernel import EMPTY, make_set
+from conset.numerals import vn, zermelo
+from conset.structure import (
+    POINT,
+    StructureGraph,
+    canonical_cert,
+    chain_graph,
+    check_graph,
+    graph_from_json,
+    isomorphic,
+    simplest_set,
+    structure_of,
+    to_dot,
+)
+from conset.tuples import diamond, kuratowski_pair, kuratowski_top, make_tuple, position
+
+pytestmark = pytest.mark.usefixtures("default_recursion_limit")
+
+Z = zermelo
+FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+def branch(n, x):
+    """Bottom entry n carrying branch x: zermelo(n) ∘ diamond ∘ x."""
+    return compose_all([Z(n), diamond(), x])
+
+
+class TestBoundaryCases:
+    def test_malformed_graph_is_a_domain_error_and_a_value_error(self):
+        assert issubclass(MalformedGraph, CalculusError)
+        assert issubclass(MalformedGraph, ValueError)
+
+    def test_out_of_range_edge(self):
+        g = StructureGraph(tags=(None, None), edges=((0, 5),), top=1, bottom=0)
+        with pytest.raises(MalformedGraph, match=r"bad edge \(0, 5\)"):
+            canonical_cert(g)
+        for first, second in ((g, g), (g, POINT), (POINT, g)):
+            with pytest.raises(MalformedGraph):
+                isomorphic(first, second)
+
+    def test_one_vertex_graph_has_top_and_bottom_zero(self):
+        g = StructureGraph(tags=(None,), edges=(), top=5, bottom=0)
+        for op in (check_graph, canonical_cert, simplest_set, to_dot):
+            with pytest.raises(MalformedGraph):
+                op(g)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"vertices": 3}',
+            "[]",
+            '{"vertices": [{"id": 0}], "edges": [], "top": 0}',
+            '{"vertices": [{"id": 1}], "edges": [], "top": 0, "bottom": 0}',
+            '{"vertices": [{"id": 0}, {"id": 0}], "edges": [], "top": 0, "bottom": 0}',
+            '{"vertices": [{}], "edges": [], "top": 0, "bottom": 0}',
+            '{"vertices": [{"id": 0, "set": 5}], "edges": [], "top": 0, "bottom": 0}',
+            '{"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1, 1]], "top": 1, "bottom": 0}',
+            '{"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, "1"]], "top": 1, "bottom": 0}',
+            '{"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]], "top": 1.0, "bottom": 0}',
+            '{"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 5]], "top": 1, "bottom": 0}',
+        ],
+    )
+    def test_malformed_json(self, text):
+        with pytest.raises(MalformedGraph):
+            graph_from_json(text)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_rejected_before_any_work(self, budget):
+        # Z(3) is no top or bottom: the budget is checked first
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            has_top_structure(Z(3), Z(3), budget=budget)
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            has_bottom_structure(Z(3), Z(3), budget=budget)
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "many"])
+    def test_cli_budget_below_one_is_a_usage_error(self, capsys, budget):
+        argv = ["fuse", "{P(0)}", "{1}", "--check-top", "--budget", budget]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "argument --budget: must be an integer of at least 1" in capsys.readouterr().err
+
+    def test_bottom_record_with_too_few_markers(self):
+        lying = BottomStructure(set=make_tuple([Z(0), Z(1)]), arity=2, markers=())
+        with pytest.raises(NotAStructure):
+            bottom_terminal(lying, 0)
+        with pytest.raises(NotAStructure):
+            has_bottom_structure(Z(2), lying)
+
+    def test_record_of_another_kind_is_checked_as_this_kind(self):
+        m = middle([Z(2), vn(2)])
+        with pytest.raises(NotAStructure):
+            bottom_terminal(TopStructure(*m), 0)
+        # a middle is a top and a bottom, so its record reads as either
+        assert fuse(TopStructure(*m), m.set) is fuse(m.set, m.set)
+
+
+def _scans(monkeypatch, op, *args):
+    """The number of top_structure calls op(*args) makes."""
+    seen = []
+    real = fusion.top_structure
+    monkeypatch.setattr(
+        fusion, "top_structure", lambda h, offset=0: seen.append(h) or real(h, offset)
+    )
+    op(*args)
+    monkeypatch.undo()
+    return len(seen)
+
+
+class TestValidatedOnce:
+    def test_close_scans_its_argument_once(self, monkeypatch):
+        m = middle([Z(2), vn(2)])
+        assert _scans(monkeypatch, close, m.set) == 1
+        assert _scans(monkeypatch, close, m) == 1
+        assert close(m) is close(m.set)
+
+    def test_fuse_middle_scans_each_side_and_the_result(self, monkeypatch):
+        a, b = middle_permutation([1, 0]), middle([Z(1), vn(2)])
+        assert _scans(monkeypatch, fuse_middle, a.set, b.set) == 3
+        assert _scans(monkeypatch, fuse_middle, a, b) == 3
+        assert fuse_middle(a, b) == fuse_middle(a.set, b.set)
+
+
+# Fuzzing: hand-built inputs through the public surface; only CalculusError
+# may escape.
+
+VALID_GRAPHS = [chain_graph(k) for k in range(4)] + [
+    structure_of(x) for x in (diamond(), vn(3), kuratowski_pair(Z(2), vn(2)))
+]
+
+
+@st.composite
+def hand_built_graphs(draw):
+    n = draw(st.integers(0, 6))
+    end = st.integers(-1, n + 1)
+    edges = draw(st.lists(st.tuples(end, end), max_size=8))
+    return StructureGraph((None,) * n, tuple(edges), draw(end), draw(end))
+
+
+graphs = st.one_of(hand_built_graphs(), st.sampled_from(VALID_GRAPHS))
+
+
+@FUZZ
+@given(graphs, graphs)
+def test_hand_built_graphs_raise_only_malformed_graph(g, h):
+    try:
+        check_graph(g)
+    except MalformedGraph:
+        for op in (
+            canonical_cert,
+            simplest_set,
+            to_dot,
+            lambda g: isomorphic(g, h),
+            lambda g: isomorphic(h, g),
+            lambda g: isomorphic(g, POINT),
+            lambda g: isomorphic(POINT, g),
+        ):
+            with pytest.raises(MalformedGraph):
+                op(g)
+        return
+    assert isinstance(canonical_cert(g), bytes)
+    assert isinstance(to_dot(g), str)
+    assert isomorphic(g, g) is not None
+    for first, second in ((g, h), (h, g), (g, POINT), (POINT, g)):
+        try:
+            isomorphic(first, second)
+        except MalformedGraph:
+            assert h in (first, second)
+    try:
+        assert isomorphic(structure_of(simplest_set(g)), g) is not None
+    except CalculusError:
+        pass
+
+
+SETS = [
+    EMPTY,
+    Z(3),
+    diamond(),
+    position(0),
+    kuratowski_top(),
+    make_tuple([EMPTY]),
+    make_tuple([EMPTY] * 2),
+    make_tuple([Z(0), Z(1)]),
+    make_set([branch(0, Z(2)), branch(1, Z(3))]),
+    middle([Z(2), vn(2)]).set,
+    middle_permutation([1, 0]).set,
+    make_set([branch(1, position(1))]),  # a middle whose numbering starts at 1
+]
+MARKERS = [EMPTY, Z(2), position(0), branch(0, Z(2)), branch(1, Z(3)), branch(1, Z(2))]
+VALID_RECORDS = [
+    r
+    for h in SETS
+    for offset in (0, 1)
+    for r in (validate_top(h, offset), validate_bottom(h, offset), validate_middle(h, offset))
+    if r is not None
+]
+
+
+@st.composite
+def hand_built_records(draw):
+    kind = draw(st.sampled_from([TopStructure, BottomStructure, MiddleStructure]))
+    fields = (draw(st.sampled_from(SETS)), draw(st.integers(0, 3)), draw(st.integers(-1, 2)))
+    if kind is BottomStructure:
+        return kind(*fields, tuple(draw(st.lists(st.sampled_from(MARKERS), max_size=4))))
+    return kind(*fields)
+
+
+@st.composite
+def lying_bottoms(draw):
+    """A valid bottom record with markers dropped or added."""
+    r = draw(st.sampled_from([r for r in VALID_RECORDS if isinstance(r, BottomStructure)]))
+    extra = tuple(draw(st.lists(st.sampled_from(MARKERS), max_size=2)))
+    return r._replace(markers=r.markers[: draw(st.integers(0, r.arity))] + extra)
+
+
+structures = st.one_of(
+    st.sampled_from(SETS),
+    st.sampled_from(VALID_RECORDS),
+    hand_built_records(),
+    lying_bottoms(),
+)
+
+
+def _answer(op, *args, **kwargs):
+    try:
+        return op(*args, **kwargs)
+    except CalculusError:
+        return None
+
+
+@FUZZ
+@given(
+    structures,
+    structures,
+    st.sampled_from(SETS),
+    st.integers(-1, 3),
+    st.lists(st.sampled_from(SETS), max_size=3),
+)
+def test_hand_built_records_raise_only_calculus_errors(a, b, x, n, terms):
+    fused = _answer(fuse, a, b)
+    _answer(match_terminals, a, b)
+    _answer(bottom_terminal, b, n)
+    _answer(fuse_with_terminals, a, terms)
+    _answer(fuse_middle, a, b)
+    _answer(close, a)
+    _answer(has_top_structure, a, x, budget=50)
+    _answer(has_bottom_structure, x, b, budget=50)
+    if fused is not None:
+        assert _answer(has_top_structure, a, fused, budget=500) is not False

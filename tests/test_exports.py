@@ -5,8 +5,8 @@ import conset
 PUBLIC = frozenset({
     "AmbiguousWitness", "ArityMismatch", "BottomStructure", "CalculusError",
     "DEFAULT_BUDGET", "EMPTY", "EmptyHasNoMaximal", "EvalError",
-    "ExprSyntaxError", "IndexOutOfRange", "IsoWitness", "MalformedText",
-    "MiddleStructure", "NoSuchPosition", "NoneFound", "NotABottom",
+    "ExprSyntaxError", "IndexOutOfRange", "IsoWitness", "MalformedGraph",
+    "MalformedText", "MiddleStructure", "NoSuchPosition", "NoneFound", "NotABottom",
     "NotANumeral", "NotAPermutation", "NotAStructure", "NotUnique", "POINT",
     "PairDecode", "PairDiagnosis", "SearchBudgetExceeded", "SetHandle",
     "StructureGraph", "TerminalMismatch", "TopStructure", "Unrealizable",
@@ -32,7 +32,7 @@ PUBLIC = frozenset({
 
 
 def test_public_names_are_pinned():
-    assert len(conset.__all__) == len(PUBLIC) == 107
+    assert len(conset.__all__) == len(PUBLIC) == 108
     assert set(conset.__all__) == PUBLIC
 
 

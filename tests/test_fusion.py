@@ -30,7 +30,7 @@ from conset.errors import (
 from conset.fusion import (
     BottomStructure,
     TopStructure,
-    _terminal_indices,
+    _terminals,
     bottom_structure,
     bottom_terminal,
     close,
@@ -199,14 +199,14 @@ class TestMarkerReading:
         nested = [make_tuple([t, rng.choice(corpus200)]) for t in flat]
         nested += [make_tuple([empty(), make_tuple([position(2), D])])]
         for h in corpus200 + flat + nested + [kuratowski_top(), grouping_top()]:
-            assert _terminal_indices(h) == position_indices_by_text(h.text)
+            assert sorted(_terminals(h)) == position_indices_by_text(h.text)
 
     def test_indices_of_known_tops(self):
-        assert _terminal_indices(kuratowski_top()) == [0, 1]
-        assert _terminal_indices(grouping_top()) == [0, 1, 2]
+        assert sorted(_terminals(kuratowski_top())) == [0, 1]
+        assert sorted(_terminals(grouping_top())) == [0, 1, 2]
         apart = make_set([position(3), make_set([position(1)])])
-        assert _terminal_indices(apart) == [1, 3]
-        assert _terminal_indices(Z(4)) == []
+        assert sorted(_terminals(apart)) == [1, 3]
+        assert sorted(_terminals(Z(4))) == []
 
     def test_large_entry_tuple_is_a_top(self):
         assert top_structure(make_tuple([vn(12), empty()])).arity == 2
@@ -254,17 +254,19 @@ class TestMatchTerminals:
         bv = bottom_structure(make_set([branch(1, Z(2)), branch(2, vn(3))]), offset=1)
         assert not match_terminals(top_structure(make_tuple([empty()] * 2)), bv)
 
-    def test_hand_built_non_marker_is_false(self):
-        # a marker that does not parse answers False; fuse reports a mismatch
+    def test_hand_built_non_marker_raises(self):
+        # a record is checked against its set, as hand-built tops are
         bv = BottomStructure(set=Z(3), arity=1, markers=(Z(3),))
-        assert not match_terminals(make_tuple([empty()]), bv)
-        with pytest.raises(TerminalMismatch):
+        with pytest.raises(NotAStructure):
+            match_terminals(make_tuple([empty()]), bv)
+        with pytest.raises(NotAStructure):
             fuse(make_tuple([empty()]), bv)
 
-    def test_wrongly_numbered_marker_is_false(self):
+    def test_wrongly_numbered_marker_raises(self):
         b = branch(1, Z(2))
         bv = BottomStructure(set=b, arity=1, markers=(b,))
-        assert not match_terminals(make_tuple([empty()]), bv)
+        with pytest.raises(NotAStructure):
+            match_terminals(make_tuple([empty()]), bv)
 
     def test_raw_non_structure_raises(self):
         with pytest.raises(NotAStructure):
