@@ -173,7 +173,7 @@ def _parser() -> argparse.ArgumentParser:
         "--budget",
         type=_budget,
         default=fusion.DEFAULT_BUDGET,
-        help="search bound for --check-top/--check-bottom",
+        help="search bound for --check-top (--check-bottom needs none)",
     )
 
     p_close = sub.add_parser("close", help="ground a middle structure to a plain set")

@@ -9,7 +9,8 @@ recognised by their shape, never by building candidates.
 Middle structures are both at once and form a monoid under fusion; closing a
 middle structure grounds both sides, turning its branches into a plain set.
 The double-turnstile queries ask whether such a decomposition exists at all,
-by bounded search with exact verification.
+with exact verification: the top query searches assignments under a budget,
+the bottom query walks x once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .kernel import (
     make_set,
 )
 from .numerals import as_zermelo, zermelo
-from .tuples import _unpad, diamond, make_tuple, position
+from .tuples import _unpad, diamond, position
 
 __all__ = [
     "TopStructure",
@@ -297,16 +298,15 @@ def fuse_middle(
 def close(m: SetHandle | MiddleStructure) -> SetHandle:
     """Ground both sides of a middle structure: its branches become elements.
 
-    Fusing empty branches onto the slots grounds the bottom side and leaves a
-    bottom structure; fusing the all-empty tuple on top then grounds the
-    markers, so each branch lands as a plain element.
+    The branches are read off the middle's own markers, gathered as the
+    elements of one set, and their slots are grounded by fusing empty
+    branches onto them, so equal or nested branches cannot lose a marker.
     """
     mv = _as(middle_structure, m)
     if mv.offset != 0:
         raise TerminalMismatch("fusion requires marker indices starting at 0")
-    grounded = _fuse_formula(mv.set, [EMPTY] * mv.arity)
-    flat = TopStructure(make_tuple([EMPTY] * mv.arity), mv.arity)
-    return _fuse(flat, bottom_structure(grounded))
+    branches = [_parse_marker(mk)[1] for mk in bottom_structure(mv.set).markers]
+    return _fuse_formula(make_set(branches), [EMPTY] * mv.arity)
 
 
 def _levels(h: SetHandle, depth: int) -> list[dict[SetHandle, None]]:
@@ -369,15 +369,15 @@ def has_bottom_structure(
 ) -> bool:
     """Whether x decomposes with b at the bottom (some top fused onto b).
 
-    Searches substitution preimages of x: each subterm equal to a branch may
-    have been a slot, and every combination of child preimages rebuilds a
-    candidate.  Candidates that validate as offset-0 tops are verified by
-    actually fusing, so True is always right.  A candidate has one part per
-    subterm of x, so the search misses tops whose distinct parts merge under
-    fusion, which happens when one branch is built from another: with
-    branch 0 = {{}} and branch 1 = {}, the top {P(0), {P(1)}} fuses to
-    zermelo(2), yet has_bottom_structure(zermelo(2), b) is False.  A False
-    is definitive only for bottoms where no such merge can occur.
+    One walk up x builds the preimages of each subterm w.  A part of a valid
+    top is a slot, lies inside a slot (fusion leaves it as it is) or holds a
+    slot; so w is the image of slot n when branch n is w, of w itself when w
+    lies inside a slot, or of a slot-holding set with a preimage of each
+    element of w.  The set of every preimage of every element maps onto w as
+    well and holds every slot a smaller choice holds, so one such set per
+    node decides the query.  The root's candidates are verified by fusing.
+    The query never runs out of budget; budget is only checked to be at
+    least 1.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -386,24 +386,19 @@ def has_bottom_structure(
         raise NotAStructure("decomposition queries require offset-0 markers")
     m = bv.arity
     terms = [_parse_marker(mk)[1] for mk in bv.markers]
-    spent = 0
+    inside = _below(map(position, range(m)))
 
-    def preimages(w: SetHandle, child_opts: list[list[SetHandle]]) -> list[SetHandle]:
-        nonlocal spent
+    def preimages(w: SetHandle, kids: list[list[SetHandle]]) -> list[SetHandle]:
         out = [position(n) for n in range(m) if terms[n] is w]
-        for choice in itertools.product(*child_opts):
-            spent += 1
-            if spent > budget:
-                raise SearchBudgetExceeded(
-                    f"stopped after {budget} candidate subterms"
-                )
-            out.append(make_set(choice))
-        return list(dict.fromkeys(out))
+        if w in inside:
+            out.append(w)
+        parts = [p for ps in kids for p in ps]
+        if all(kids) and any(p not in inside for p in parts):
+            out.append(make_set(parts))
+        return out
 
     for candidate in fold(x, preimages, {}):
         tv = validate_top(candidate)
-        if tv is None or tv.arity != m:
-            continue
-        if _fuse_formula(candidate, terms) is x:
+        if tv is not None and tv.arity == m and _fuse_formula(candidate, terms) is x:
             return True
     return False

@@ -116,6 +116,41 @@ def has_top_exhaustive(t: SetHandle, x: SetHandle) -> bool:
     return False
 
 
+def has_bottom_exhaustive(x: SetHandle, terms: list[SetHandle]) -> bool | None:
+    """Whether some top with a slot per branch in terms fuses onto them to
+    give x, trying every set of preimages; None when a pool is too large.
+
+    Bottom-up over the subterms of x by text length, the preimages of w are:
+    slot n when terms[n] is w, w itself when its text lies inside a slot's
+    text, and every set of preimages of w's elements that substitutes to w.
+    A preimage is kept when every constituent's text holds a slot text or
+    lies inside one; x's preimages must also hold every slot.
+    """
+    slots = [_diamond_text("{" * (n + 1) + "}" * (n + 1)) for n in range(len(terms))]
+    table = dict(zip(slots, (t.text for t in terms)))
+
+    def valid(p: SetHandle) -> bool:
+        return all(
+            any(s in c.text or c.text in s for s in slots) for c in constituents_brute(p)
+        )
+
+    pre: dict[SetHandle, set[SetHandle]] = {}
+    for w in sorted(constituents_brute(x), key=lambda c: len(c.text)):
+        found = {parse(s) for s, t in zip(slots, terms) if t is w}
+        if w.text not in slots and any(w.text in s for s in slots):
+            found.add(w)
+        pool = sorted({p for c in w.children for p in pre[c]}, key=lambda p: p.text)
+        if len(pool) > 10:
+            return None
+        for k in range(1, len(pool) + 1):
+            for subset in itertools.combinations(pool, k):
+                p = parse("{" + ",".join(q.text for q in subset) + "}")
+                if parse(simultaneous_replace_by_text(p.text, table)) is w and valid(p):
+                    found.add(p)
+        pre[w] = found
+    return any(all(s in p.text for s in slots) for p in pre[x])
+
+
 def is_constituent_by_text(x: SetHandle, y: SetHandle) -> bool:
     """x lies inside y (reflexively), by substring search.
 
