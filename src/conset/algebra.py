@@ -50,7 +50,7 @@ def _substitute(x: SetHandle, table: dict[SetHandle, SetHandle]) -> SetHandle:
 
 def replace(x: SetHandle, y: SetHandle, z: SetHandle) -> SetHandle:
     """x with every occurrence of y replaced by z, judged on original subterms."""
-    if not is_constituent(y, x):
+    if y is z or not is_constituent(y, x):
         return x
     return _substitute(x, {y: z})
 

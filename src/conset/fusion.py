@@ -1,10 +1,10 @@
 """Top/bottom/middle structures, fusion, and the vertical-decomposition queries.
 
 A top structure leaves numbered slots (position markers) open at its bottom; a
-bottom structure carries numbered branches, each wrapped as the marker
-n-singletons(diamond(branch)); fusion joins them by one simultaneous
-substitution of every slot by its branch.  Markers of both kinds are
-recognised by their shape, never by building candidates.
+bottom structure carries numbered branches, each wrapped as a numbered branch
+marker; fusion joins them by one simultaneous substitution of every slot by
+its branch.  Both kinds of marker are built and read through conset.tuples,
+which owns their format; this module knows no marker shape.
 
 Middle structures are both at once and form a monoid under fusion; closing a
 middle structure grounds both sides, turning its branches into a plain set.
@@ -36,8 +36,7 @@ from .kernel import (
     fold,
     make_set,
 )
-from .numerals import as_zermelo, zermelo
-from .tuples import _unpad, diamond, position
+from .tuples import _branch, _parse_marker, _slot, position
 
 __all__ = [
     "TopStructure",
@@ -88,17 +87,6 @@ class MiddleStructure(NamedTuple):
     offset: int = 0
 
 
-def _branch(n: int, x: SetHandle) -> SetHandle:
-    """The marker numbered n wrapping x: n singletons over the diamond over x."""
-    return compose(zermelo(n), compose(diamond(), x))
-
-
-def _slot(w: SetHandle) -> int | None:
-    """n when w is the position marker of slot n (the diamond over zermelo(n))."""
-    x = _unpad(w)
-    return None if x is None else as_zermelo(x)
-
-
 def _terminals(h: SetHandle) -> dict[int, SetHandle]:
     """The position markers that occur inside h, by slot number."""
     return {n: w for w in constituent_set(h) if (n := _slot(w)) is not None}
@@ -126,19 +114,6 @@ def top_structure(h: SetHandle, offset: int = 0) -> TopStructure:
             f"constituent bypasses every terminal: {min(bypass, key=_shortlex)!r}"
         )
     return TopStructure(set=h, arity=len(terminals), offset=offset)
-
-
-def _parse_marker(m: SetHandle) -> tuple[int, SetHandle]:
-    """Split a marker n-singletons(diamond(x)) into (n, x)."""
-    n = 0
-    w = m
-    while len(w.children) == 1:
-        w = w.children[0]
-        n += 1
-    x = _unpad(w)
-    if x is None:
-        raise NotAStructure(f"marker residue is not a diamond stack: {w!r}")
-    return n, x
 
 
 def bottom_structure(h: SetHandle, offset: int = 0) -> BottomStructure:
@@ -386,10 +361,11 @@ def has_bottom_structure(
         raise NotAStructure("decomposition queries require offset-0 markers")
     m = bv.arity
     terms = [_parse_marker(mk)[1] for mk in bv.markers]
-    inside = _below(map(position, range(m)))
+    slots = [position(n) for n in range(m)]
+    inside = _below(slots)
 
     def preimages(w: SetHandle, kids: list[list[SetHandle]]) -> list[SetHandle]:
-        out = [position(n) for n in range(m) if terms[n] is w]
+        out = [slots[n] for n in range(m) if terms[n] is w]
         if w in inside:
             out.append(w)
         parts = [p for ps in kids for p in ps]

@@ -28,14 +28,27 @@ __all__ = [
 ]
 
 
-def zermelo(n: int) -> SetHandle:
-    """Successor numeral: 0 = {}, n+1 = {n}."""
+def _wrap(n: int, x: SetHandle) -> SetHandle:
+    """x inside n singletons: {...{x}...}."""
     if n < 0:
         raise ValueError("numerals are non-negative")
-    h = EMPTY
     for _ in range(n):
-        h = make_set([h])
-    return h
+        x = make_set([x])
+    return x
+
+
+def _unwrap(h: SetHandle) -> tuple[int, SetHandle]:
+    """(n, core) with h = _wrap(n, core) and core no singleton."""
+    n = 0
+    while len(h.children) == 1:
+        h = h.children[0]
+        n += 1
+    return n, h
+
+
+def zermelo(n: int) -> SetHandle:
+    """Successor numeral: 0 = {}, n+1 = {n}."""
+    return _wrap(n, EMPTY)
 
 
 def vn(n: int) -> SetHandle:
@@ -52,13 +65,8 @@ def vn(n: int) -> SetHandle:
 
 def as_zermelo(h: SetHandle) -> int | None:
     """Value of a successor numeral, or None when h is not one."""
-    n = 0
-    while h is not EMPTY:
-        if len(h.children) != 1:
-            return None
-        h = h.children[0]
-        n += 1
-    return n
+    n, core = _unwrap(h)
+    return n if core is EMPTY else None
 
 
 def as_vn(h: SetHandle) -> int | None:

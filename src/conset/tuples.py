@@ -1,28 +1,25 @@
-"""Positional tuples via diamond padding, plus the classic nested pair.
+"""Positional tuples via diamond padding, the marker format, and the classic
+nested pair.
 
 Each tuple entry is composed on top of a position marker (the diamond over a
 successor numeral), which pads entries apart so no occupant can sit inside
 another.  Extraction finds the unique maximal constituent with the marker at
-its bottom and strips the marker.  The classic two-set pair {{a},{a,b}} is
-provided with a diagnostic decoder that reports exactly when and why the
-encoding loses information.
+its bottom and strips the marker.  This module owns the marker format: slot
+and path markers, and fusion's branch markers, are built directly by their
+shape and read back by their shape, never by composing or searching.  The
+classic two-set pair {{a},{a,b}} is provided with a diagnostic decoder that
+reports exactly when and why the encoding loses information.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .algebra import (
-    _substitute,
-    compose,
-    compose_all,
-    max_with_bottom_unique,
-)
-from .errors import NoneFound, NoSuchPosition
+from .algebra import _substitute, compose, max_with_bottom_unique
+from .errors import NoneFound, NoSuchPosition, NotAStructure
 from .kernel import EMPTY, SetHandle, is_constituent, make_set
-from .numerals import zermelo
+from .numerals import _unwrap, _wrap, as_zermelo, zermelo
 
 __all__ = [
     "diamond",
@@ -45,14 +42,13 @@ def kuratowski_pair(a: SetHandle, b: SetHandle) -> SetHandle:
     return make_set([make_set([a]), make_set([a, b])])
 
 
-@lru_cache(maxsize=None)
-def diamond() -> SetHandle:
-    """The smallest set whose covering diagram is not a chain: {{1},{0,1}}."""
-    return kuratowski_pair(zermelo(1), zermelo(0))
+def _pad(x: SetHandle) -> SetHandle:
+    """The diamond over x, {{{x}},{x,{x}}}, which is compose(diamond(), x)."""
+    return kuratowski_pair(make_set([x]), x)
 
 
 def _unpad(w: SetHandle) -> SetHandle | None:
-    """The x with compose(diamond(), x) is w, or None when there is none.
+    """The x with _pad(x) is w, or None when there is none.
 
     The diamond over x is {{{x}},{x,{x}}}, its elements always in that
     shortlex order; the shape is checked by child identity, building nothing.
@@ -64,25 +60,51 @@ def _unpad(w: SetHandle) -> SetHandle | None:
     return None
 
 
+def _slot(w: SetHandle) -> int | None:
+    """n when w is the position marker of slot n (the diamond over zermelo(n))."""
+    x = _unpad(w)
+    return None if x is None else as_zermelo(x)
+
+
+def _branch(n: int, x: SetHandle) -> SetHandle:
+    """The branch marker numbered n wrapping x: n singletons over the diamond
+    over x.  _branch(0, zermelo(k)) is position(k)."""
+    return _wrap(n, _pad(x))
+
+
+def _parse_marker(m: SetHandle) -> tuple[int, SetHandle]:
+    """Split a branch marker _branch(n, x) into (n, x)."""
+    n, w = _unwrap(m)
+    x = _unpad(w)
+    if x is None:
+        raise NotAStructure(f"marker residue is not a diamond stack: {w!r}")
+    return n, x
+
+
+def diamond() -> SetHandle:
+    """The smallest set whose covering diagram is not a chain: {{1},{0,1}}."""
+    return _pad(EMPTY)
+
+
 def position(n: int) -> SetHandle:
     """Marker for tuple slot n: the diamond over the successor numeral n."""
-    return compose(diamond(), zermelo(n))
+    return _pad(zermelo(n))
 
 
 def position_path(coords: Sequence[int]) -> SetHandle:
     """Marker for a nested slot; coords run innermost-first.
 
-    The markers compose right-to-left, so the first coordinate addresses the
-    innermost tuple: position_path(p + q) = compose(position_path(p),
-    position_path(q)).
+    Coordinate c wraps the marker of the coordinates after it in c
+    singletons and then a diamond, so the first coordinate addresses the
+    innermost tuple:
+    position_path(p + q) = compose(position_path(p), position_path(q)).
     """
     if not coords:
         raise ValueError("a position path needs at least one coordinate")
-    parts: list[SetHandle] = []
-    for c in coords:
-        parts.append(diamond())
-        parts.append(zermelo(c))
-    return compose_all(parts)
+    marker = EMPTY
+    for c in reversed(coords):
+        marker = _pad(_wrap(c, marker))
+    return marker
 
 
 def make_tuple(entries: Sequence[SetHandle]) -> SetHandle:

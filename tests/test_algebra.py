@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 import _oracles as oracles
+import conset.algebra
 from conset import (
     EmptyHasNoMaximal,
     NoneFound,
@@ -51,6 +52,16 @@ class TestReplace:
     def test_matches_text_substitution_oracle(self, triples1000):
         for x, y, z in triples1000:
             assert replace(x, y, z) is oracles.replace_by_text(x, y, z)
+
+    def test_replacing_by_itself_rebuilds_nothing(self, monkeypatch, corpus200):
+        def no_fold(*args):
+            raise AssertionError("an identity replacement ran a fold")
+
+        monkeypatch.setattr(conset.algebra, "fold", no_fold)
+        for x in corpus200[:40]:
+            for y in constituents(x)[:5]:
+                assert replace(x, y, y) is x
+            assert compose(x, empty()) is x
 
 
 class TestReplacementLaws:

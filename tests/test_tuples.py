@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import conset.algebra
 from conset import (
     NoSuchPosition,
     compose,
@@ -17,6 +18,9 @@ from conset import (
 from conset.numerals import vn, zermelo
 from conset.tuples import (
     PairDiagnosis,
+    _branch,
+    _parse_marker,
+    _slot,
     _unpad,
     constituent_at,
     contains_position,
@@ -78,6 +82,63 @@ class TestPositions:
             assert position_path(p + q) is compose(
                 position_path(p), position_path(q)
             )
+
+
+class TestMarkerCodec:
+    """The markers built by shape agree with the composed reference forms."""
+
+    def test_branch_is_numeral_over_diamond_over_x(self, corpus200):
+        for x in corpus200 + [empty(), diamond(), position(2)]:
+            for n in range(5):
+                assert _branch(n, x) is compose(zermelo(n), compose(diamond(), x))
+
+    def test_parse_marker_inverts_branch(self, corpus200):
+        for x in corpus200 + [empty(), diamond(), position(2)]:
+            for n in range(5):
+                assert _parse_marker(_branch(n, x)) == (n, x)
+
+    def test_slot_reads_position(self):
+        for n in range(5):
+            assert _slot(position(n)) == n
+
+    def test_slot_rejects_other_shapes(self, corpus200):
+        for h in corpus200 + [empty(), _branch(1, zermelo(0)), position_path([1, 0])]:
+            assert _slot(h) is None
+
+    def test_unnumbered_branch_over_numeral_is_a_position(self):
+        # why middle_structure rejects bare position markers as branches
+        for k in range(5):
+            assert _branch(0, zermelo(k)) is position(k)
+
+    def test_markers_build_without_folding(self, monkeypatch):
+        d = kuratowski_pair(zermelo(1), zermelo(0))
+        expected = [
+            d,
+            compose(d, zermelo(3)),
+            compose_all([d, zermelo(2), d, zermelo(0), d, zermelo(1)]),
+            compose(zermelo(2), compose(d, vn(2))),
+        ]
+
+        def no_fold(*args):
+            raise AssertionError("a marker was built by a fold")
+
+        monkeypatch.setattr(conset.algebra, "fold", no_fold)
+        got = [diamond(), position(3), position_path([2, 0, 1]), _branch(2, vn(2))]
+        assert all(g is e for g, e in zip(got, expected, strict=True))
+
+    def test_negative_coordinates_raise(self):
+        t = make_tuple([empty(), vn(2)])
+        calls = [
+            lambda: position(-1),
+            lambda: position_path([-1]),
+            lambda: position_path([0, -1]),
+            lambda: get_at(t, [-1]),
+            lambda: contains_position(empty(), [-2]),
+            lambda: constituent_at(t, [0, -1], empty()),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="numerals are non-negative"):
+                call()
 
 
 class TestMakeTuple:
