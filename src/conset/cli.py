@@ -24,6 +24,7 @@ from .kernel import (
     constituents,
     instance_count,
     parse,
+    to_text,
 )
 from .numerals import add_vn, add_zermelo, as_vn, as_zermelo, is_vn, is_zermelo, mul_structural, vn, zermelo
 from .structure import isomorphic, structure_of, to_dot, to_json
@@ -45,8 +46,9 @@ def _read_source(arg: str | None) -> str:
 
 def _structure_text(g) -> str:
     lines = ["vertices:"]
+    texts: dict[SetHandle, str] = {}
     for v in range(g.n):
-        tag = g.tags[v].text if g.tags[v] is not None else "-"
+        tag = to_text(g.tags[v], texts) if g.tags[v] is not None else "-"
         lines.append(f"  {v}  {tag}")
     lines.append("edges:")
     for a, b in g.edges:
@@ -231,10 +233,11 @@ def main(argv: list[str] | None = None) -> int:
                 print("NOT-ISO", file=out)
                 return EXIT_FALSE
             print("ISO", file=out)
+            texts: dict[SetHandle, str] = {}
             for v in range(g1.n):
-                lhs = g1.tags[v].text if g1.tags[v] is not None else f"v{v}"
+                lhs = to_text(g1.tags[v], texts) if g1.tags[v] is not None else f"v{v}"
                 w = witness.mapping[v]
-                rhs = g2.tags[w].text if g2.tags[w] is not None else f"v{w}"
+                rhs = to_text(g2.tags[w], texts) if g2.tags[w] is not None else f"v{w}"
                 print(f"{lhs} -> {rhs}", file=out)
             return EXIT_OK
 

@@ -143,6 +143,12 @@ def bottom_structure(h: SetHandle, offset: int = 0) -> BottomStructure:
 
 def middle_structure(h: SetHandle, offset: int = 0) -> MiddleStructure:
     """Validate h as a middle structure (strict: raises NotAStructure)."""
+    return _middle(h, offset)[0]
+
+
+def _middle(h: SetHandle, offset: int) -> tuple[MiddleStructure, BottomStructure]:
+    """middle_structure(h, offset) with the bottom reading it checked, whose
+    markers close and fuse_middle read without parsing them again."""
     t = top_structure(h, offset)
     b = bottom_structure(h, offset)
     if t.arity != b.arity:
@@ -151,7 +157,7 @@ def middle_structure(h: SetHandle, offset: int = 0) -> MiddleStructure:
         )
     if any(_slot(m) is not None for m in b.markers):
         raise NotAStructure("a bare position marker doubles as a branch marker")
-    return MiddleStructure(set=h, arity=t.arity, offset=offset)
+    return MiddleStructure(set=h, arity=t.arity, offset=offset), b
 
 
 def _or_none(
@@ -180,10 +186,23 @@ def _as(strict: Callable[[SetHandle, int], S], r: SetHandle | S) -> S:
     its own set: NotAStructure unless the record is what strict reads there."""
     if isinstance(r, SetHandle):
         return strict(r, 0)
-    v = strict(r.set, r.offset)
+    return _recheck(strict(r.set, r.offset), r)
+
+
+def _recheck(v: S, r: S) -> S:
     if v != r:
         raise NotAStructure(f"the record does not describe its set (arity {v.arity})")
     return v
+
+
+def _as_middle(
+    r: SetHandle | MiddleStructure,
+) -> tuple[MiddleStructure, BottomStructure]:
+    """_as(middle_structure, r) with the bottom reading that check parsed."""
+    if isinstance(r, SetHandle):
+        return _middle(r, 0)
+    mv, bv = _middle(r.set, r.offset)
+    return _recheck(mv, r), bv
 
 
 def bottom_terminal(b: SetHandle | BottomStructure, n: int) -> SetHandle:
@@ -263,11 +282,11 @@ def fuse_middle(
     a: SetHandle | MiddleStructure, b: SetHandle | MiddleStructure
 ) -> MiddleStructure:
     """Fuse a (as top) onto b (as bottom); middle structures form a monoid."""
-    av, bv = _as(middle_structure, a), _as(middle_structure, b)
+    av, bv = _as(middle_structure, a), _as_middle(b)[1]
     if av.arity != bv.arity:
         raise ArityMismatch(f"arity {av.arity} fused with arity {bv.arity}")
     # a middle is a top with the same fields
-    return middle_structure(_fuse(TopStructure(*av), bottom_structure(bv.set, bv.offset)))
+    return middle_structure(_fuse(TopStructure(*av), bv))
 
 
 def close(m: SetHandle | MiddleStructure) -> SetHandle:
@@ -277,10 +296,10 @@ def close(m: SetHandle | MiddleStructure) -> SetHandle:
     elements of one set, and their slots are grounded by fusing empty
     branches onto them, so equal or nested branches cannot lose a marker.
     """
-    mv = _as(middle_structure, m)
+    mv, bv = _as_middle(m)
     if mv.offset != 0:
         raise TerminalMismatch("fusion requires marker indices starting at 0")
-    branches = [_parse_marker(mk)[1] for mk in bottom_structure(mv.set).markers]
+    branches = [_parse_marker(mk)[1] for mk in bv.markers]
     return _fuse_formula(make_set(branches), [EMPTY] * mv.arity)
 
 

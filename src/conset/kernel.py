@@ -3,22 +3,25 @@
 Every distinct set is stored exactly once, keyed by the identities of its
 distinct elements, so finding a set already built reads no text.  A new
 handle keeps its elements as a tuple of child handles sorted by the shortlex
-order of their canonical text (length first, then lexicographic), and caches
-the canonical text built from that ordering.  Because construction always
-goes through the intern table, handle identity coincides with set equality
-and every equality test in the package is a single pointer comparison.
+order of their canonical text (length first, then lexicographic).  Because
+construction always goes through the intern table, handle identity coincides
+with set equality and every equality test in the package is a single pointer
+comparison.
 
-Besides its text, a handle records two numbers read off its children when it
-is built, its rank (nesting height) and its instance count, and caches
-nothing else; in particular no handle stores its constituents.  What lies
-inside what is answered by a walk over the DAG, bounded by rank: a set lies
-only inside sets of higher rank.
+A handle records three numbers read off its children when it is built: its
+rank (nesting height), its instance count and its text length.  It keeps its
+canonical text only when that is short; a longer text is rendered on demand
+from the children, so memory follows the distinct subterms, not the written
+form, whose length can grow with depth squared.  The element order is read
+off the children too: lengths first, then the first child that differs.  No
+handle stores its constituents.  What lies inside what is answered by a walk
+over the DAG, bounded by rank: a set lies only inside sets of higher rank.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import MalformedText
 
@@ -39,33 +42,53 @@ __all__ = [
 ]
 
 
+# Texts of at most this many characters are stored: the ones repr shows whole
+_STORED = 48
+
+
 class SetHandle:
     """A canonical pure finite set.  Obtain via make_set or parse only.
 
     rank is the nesting height: 0 for {} (the only rank-0 set), otherwise one
     more than the tallest element.  instances is the number of subterm
-    occurrences: one for the set plus the instances of each element.
+    occurrences: one for the set plus the instances of each element.  size is
+    the length of the canonical text: 2 for {}, otherwise the braces, the
+    commas and the sizes of the elements.
     """
 
-    __slots__ = ("uid", "children", "text", "rank", "instances")
+    __slots__ = ("uid", "children", "rank", "instances", "size", "_text")
 
-    def __init__(self, uid: int, children: tuple["SetHandle", ...], text: str):
+    def __init__(self, uid: int, children: tuple["SetHandle", ...]):
         self.uid = uid
         self.children = children
-        self.text = text
         rank = 0
         instances = 1
+        size = 1 + len(children) if children else 2
         for c in children:
             if c.rank >= rank:
                 rank = c.rank + 1
             instances += c.instances
+            size += c.size
         self.rank = rank
         self.instances = instances
+        self.size = size
+        # the elements of a short set are shorter still, so all are stored
+        self._text = (
+            "{" + ",".join([c._text for c in children]) + "}"
+            if size <= _STORED
+            else None
+        )
+
+    @property
+    def text(self) -> str:
+        """The canonical text: stored when short, otherwise rendered now."""
+        t = self._text
+        return t if t is not None else _render(self)
 
     def __repr__(self) -> str:
-        t = self.text
-        if len(t) > 48:
-            t = t[:22] + "..." + t[-22:]
+        t = self._text
+        if t is None:
+            t = _head(self) + "..." + _tail(self)
         return f"<set {t}>"
 
     def __len__(self) -> int:
@@ -74,23 +97,136 @@ class SetHandle:
     def __iter__(self):
         return iter(self.children)
 
+    def __lt__(self, other: "SetHandle") -> bool:
+        """Whether self's canonical text sorts before other's, character by
+        character (not shortlex: _shortlex compares sizes first).
+
+        No text is a proper prefix of another, so the texts compare as their
+        element sequences: at the first pair of elements that differ, by that
+        pair; when one sequence is a prefix of the other, the longer sorts
+        first, because "," precedes "}".  One pair is followed down per
+        level, so the walk needs no stack and reads no text but stored ones.
+        """
+        a, b = self, other
+        while a is not b:
+            if a._text is not None and b._text is not None:
+                return a._text < b._text
+            for x, y in zip(a.children, b.children):
+                if x is not y:
+                    a, b = x, y
+                    break
+            else:
+                return len(a.children) > len(b.children)
+        return False
+
     # identity-based __eq__/__hash__ are correct because of interning
+
+
+def _render(h: SetHandle) -> str:
+    """The canonical text of h, whatever its length.
+
+    A long constituent met more than once in the text is joined once,
+    shorter ones first, and each later meeting costs one piece, so the work
+    follows the distinct subterms plus the text's length, and the memory the
+    text's length.
+    """
+    memo: dict[SetHandle, str | None] = {}
+    seen = {h}
+    stack = [h]
+    while stack:
+        for c in stack.pop().children:
+            if c._text is None:
+                if c in seen:
+                    memo[c] = None
+                else:
+                    seen.add(c)
+                    stack.append(c)
+    # an element is shorter than its set, so each join finds its parts ready
+    for c in sorted(memo, key=lambda c: c.size):
+        memo[c] = "".join(_pieces(c, memo))
+    return "".join(_pieces(h, memo))
+
+
+def _pieces(h: SetHandle, memo: dict[SetHandle, str | None]) -> Iterator[str]:
+    """h's text as stored or memo texts, braces and commas, in text order."""
+    yield "{"
+    stack = [iter(h.children)]
+    first = True
+    while stack:
+        for c in stack[-1]:
+            if first:
+                first = False
+            else:
+                yield ","
+            t = c._text or memo.get(c)
+            if t is None:
+                yield "{"
+                stack.append(iter(c.children))
+                first = True
+                break
+            yield t
+        else:
+            stack.pop()
+            yield "}"
+
+
+# A text longer than 48 characters has 22 before the end of its first (last)
+# long element, or within its short elements before that, so _head and _tail
+# enter at most one element per level and render nothing else.
+
+
+def _head(h: SetHandle) -> str:
+    """The first 22 characters of a text longer than 48."""
+    s = "{"
+    kids = h.children
+    while len(s) < 22:
+        for c in kids:
+            t = c._text
+            if t is None:
+                s += "{"
+                kids = c.children
+                break
+            s += t
+            if len(s) >= 22:
+                break
+            s += ","
+    return s[:22]
+
+
+def _tail(h: SetHandle) -> str:
+    """The last 22 characters of a text longer than 48."""
+    s = "}"
+    kids = h.children
+    while len(s) < 22:
+        for c in reversed(kids):
+            t = c._text
+            if t is None:
+                s = "}" + s
+                kids = c.children
+                break
+            s = t + s
+            if len(s) >= 22:
+                break
+            s = "," + s
+    return s[-22:]
 
 
 _table: dict[SetHandle | tuple[SetHandle, ...], SetHandle] = {}
 _ids = itertools.count()
 
 
-def _shortlex(h: SetHandle) -> tuple[int, str]:
-    """Sort key of the canonical element order: text length, then text."""
-    return len(h.text), h.text
+def _shortlex(h: SetHandle) -> tuple[int, SetHandle]:
+    """Sort key of the canonical element order: text length, then text
+    (SetHandle.__lt__, which only equal lengths reach)."""
+    return h.size, h
 
 
 def make_set(elems: Iterable[SetHandle]) -> SetHandle:
     """The canonical set whose elements are the given handles.
 
     Keyed by the only element, or else the distinct elements ordered by id (a
-    sort in C that reads no text); only a miss sorts by _shortlex.
+    sort in C that reads no text); only a miss sorts by _shortlex.  The new
+    handle stores its text length, and its text only when that is short.
     """
     uniq = frozenset(elems)
     key = ()
@@ -101,9 +237,8 @@ def make_set(elems: Iterable[SetHandle]) -> SetHandle:
     h = _table.get(key)
     if h is None:
         children = tuple(sorted(uniq, key=_shortlex))
-        text = "{" + ",".join(c.text for c in children) + "}"
         # setdefault keeps insert-if-absent atomic; a racing duplicate loses
-        h = _table.setdefault(key, SetHandle(next(_ids), children, text))
+        h = _table.setdefault(key, SetHandle(next(_ids), children))
     return h
 
 
@@ -114,9 +249,20 @@ def empty() -> SetHandle:
     return EMPTY
 
 
-def to_text(h: SetHandle) -> str:
-    """Canonical text of h; parse(to_text(h)) is h."""
-    return h.text
+def to_text(h: SetHandle, memo: dict[SetHandle, str] | None = None) -> str:
+    """Canonical text of h; parse(to_text(h)) is h.
+
+    With a memo, a text too long to store is kept in it, and read back from
+    it where it occurs inside a text rendered later.  structure_of lists
+    every set after its constituents, so rendering its tags in vertex order
+    joins each text once.
+    """
+    if memo is None or h._text is not None:
+        return h.text
+    t = memo.get(h)
+    if t is None:
+        t = memo[h] = "".join(_pieces(h, memo))
+    return t
 
 
 def parse(text: str) -> SetHandle:

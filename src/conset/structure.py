@@ -32,6 +32,7 @@ from .kernel import (
     is_constituent,
     make_set,
     parse,
+    to_text,
 )
 
 __all__ = [
@@ -427,11 +428,12 @@ def to_dot(g: StructureGraph) -> str:
     """Graphviz digraph, edges lower -> upper, one rank per level."""
     _, _, level = _diagram(g)
     lines = ["digraph constituent_structure {", "  rankdir=BT;", "  node [shape=box];"]
+    texts: dict[SetHandle, str] = {}
     for lvl in range(max(level) + 1):
         members = [v for v in range(g.n) if level[v] == lvl]
         decls = []
         for v in members:
-            label = g.tags[v].text if g.tags[v] is not None else f"v{v}"
+            label = to_text(g.tags[v], texts) if g.tags[v] is not None else f"v{v}"
             decls.append(f'v{v} [label="{label}"]')
         lines.append("  { rank=same; " + "; ".join(decls) + "; }")
     for a, b in g.edges:
@@ -443,10 +445,11 @@ def to_dot(g: StructureGraph) -> str:
 def to_json(g: StructureGraph) -> str:
     """Stable JSON encoding; graph_from_json inverts it."""
     vertices = []
+    texts: dict[SetHandle, str] = {}
     for v in range(g.n):
         entry: dict = {"id": v}
         if g.tags[v] is not None:
-            entry["set"] = g.tags[v].text
+            entry["set"] = to_text(g.tags[v], texts)
         vertices.append(entry)
     obj = {
         "vertices": vertices,

@@ -163,10 +163,11 @@ def is_constituent_by_text(x: SetHandle, y: SetHandle) -> bool:
 
 def maximal_by_text(hs: list[SetHandle]) -> list[SetHandle]:
     """Members lying strictly inside no other member, by pairwise search."""
+    texts = [h.text for h in hs]  # rendered once, not once per pair
     return [
         h
-        for h in hs
-        if not any(o is not h and is_constituent_by_text(h, o) for o in hs)
+        for h, t in zip(hs, texts)
+        if not any(o is not h and t in u for o, u in zip(hs, texts))
     ]
 
 
@@ -372,3 +373,10 @@ def nesting_depth(h: SetHandle) -> int:
         elif ch == "}":
             depth -= 1
     return deepest - 1
+
+
+def text_by_recursion(h: SetHandle) -> str:
+    """The canonical text rebuilt from the elements, which are ordered here
+    by their own (length, text) keys; recursive, so for shallow sets."""
+    texts = sorted(map(text_by_recursion, h.children), key=lambda t: (len(t), t))
+    return "{" + ",".join(texts) + "}"

@@ -131,12 +131,12 @@ class TestBoundaryCases:
         assert fuse(TopStructure(*m), m.set) is fuse(m.set, m.set)
 
 
-def _scans(monkeypatch, op, *args):
-    """The number of top_structure calls op(*args) makes."""
+def _scans(monkeypatch, op, *args, reader="top_structure"):
+    """The number of calls op(*args) makes to reader, a fusion validator."""
     seen = []
-    real = fusion.top_structure
+    real = getattr(fusion, reader)
     monkeypatch.setattr(
-        fusion, "top_structure", lambda h, offset=0: seen.append(h) or real(h, offset)
+        fusion, reader, lambda h, offset=0: seen.append(h) or real(h, offset)
     )
     op(*args)
     monkeypatch.undo()
@@ -155,6 +155,16 @@ class TestValidatedOnce:
         assert _scans(monkeypatch, fuse_middle, a.set, b.set) == 3
         assert _scans(monkeypatch, fuse_middle, a, b) == 3
         assert fuse_middle(a, b) == fuse_middle(a.set, b.set)
+
+    def test_close_parses_its_markers_once(self, monkeypatch):
+        m = middle([Z(2), vn(2), EMPTY])
+        for arg in (m.set, m):
+            assert _scans(monkeypatch, close, arg, reader="bottom_structure") == 1
+
+    def test_fuse_middle_parses_markers_of_each_side_and_the_result_once(self, monkeypatch):
+        a, b = middle_permutation([1, 0]), middle([Z(1), vn(2)])
+        for args in ((a.set, b.set), (a, b)):
+            assert _scans(monkeypatch, fuse_middle, *args, reader="bottom_structure") == 3
 
 
 # Fuzzing: hand-built inputs through the public surface; only CalculusError

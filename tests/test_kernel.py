@@ -32,6 +32,7 @@ from conset import (
     to_text,
     union,
 )
+from conset.kernel import _shortlex
 from conset.numerals import vn, zermelo
 from conset.tuples import diamond
 
@@ -228,6 +229,86 @@ class TestText:
             keys = [(len(c.text), c.text) for c in h.children]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
+
+
+class TestTextOnDemand:
+    """A handle keeps its text length; a long text is rendered when read."""
+
+    def test_size_is_text_length(self, corpus200, corpus1000):
+        for h in corpus200 + corpus1000:
+            assert len(h.text) == h.size
+
+    def test_only_short_texts_are_stored(self, corpus1000):
+        pool = set().union(*map(constituent_set, corpus1000))
+        assert sum(h.size > 48 for h in pool) > 100
+        for h in pool:
+            assert (h._text is not None) is (h.size <= 48)
+
+    def test_rendered_text_matches_recursion(self, corpus1000):
+        for h in corpus1000 + [vn(k) for k in range(10)] + [zermelo(30)]:
+            assert h.text == oracles.text_by_recursion(h)
+
+    def test_repr_shows_head_and_tail(self, corpus1000):
+        for h in corpus1000 + [vn(k) for k in range(10)]:
+            t = h.text
+            shown = t if len(t) <= 48 else t[:22] + "..." + t[-22:]
+            assert repr(h) == f"<set {shown}>"
+
+    def test_repr_of_a_set_too_long_to_render(self):
+        h = vn(40)
+        assert h.size == 5 * 2**39 - 1  # about 2.7 TB of text
+        assert repr(h) == "<set " + vn(8).text[:22] + "..." + "}" * 22 + ">"
+
+    def test_memo_joins_each_long_constituent_once(self, corpus1000, monkeypatch):
+        hs = [c for h in corpus1000[:100] for c in constituents(h)]
+        joined = []
+        real = conset.kernel._pieces
+        monkeypatch.setattr(
+            conset.kernel, "_pieces", lambda h, memo: joined.append(h) or real(h, memo)
+        )
+        memo: dict = {}
+        texts = [to_text(c, memo) for c in hs]
+        monkeypatch.undo()
+        assert texts == [c.text for c in hs]
+        assert sorted(joined, key=id) == sorted({c for c in hs if c.size > 48}, key=id)
+
+
+class TestOrderFromStructure:
+    """_shortlex orders handles as (len(text), text) without reading long texts."""
+
+    @staticmethod
+    def agree(a, b):
+        ka, kb = (len(a.text), a.text), (len(b.text), b.text)
+        assert (_shortlex(a) < _shortlex(b)) is (ka < kb)
+        assert (_shortlex(b) < _shortlex(a)) is (kb < ka)
+
+    def test_every_pair_of_corpus_constituents(self, corpus200):
+        pool = list(set().union(*map(constituent_set, corpus200)))
+        for a in pool:
+            for b in pool:
+                self.agree(a, b)
+
+    def test_equal_lengths_among_long_constituents(self, corpus1000):
+        by_size: dict[int, list] = {}
+        for h in set().union(*map(constituent_set, corpus1000)):
+            by_size.setdefault(h.size, []).append(h)
+        long_pairs = 0
+        for group in by_size.values():
+            for a in group:
+                for b in group:
+                    self.agree(a, b)
+                    long_pairs += a.size > 48 and a is not b
+        assert long_pairs > 100
+
+    @settings(max_examples=100, deadline=None)
+    @given(handles(), handles())
+    def test_drawn_pairs(self, a, b):
+        self.agree(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(chains(40), chains(40))
+    def test_drawn_chains(self, a, b):
+        self.agree(a, b)
 
 
 class TestElements:

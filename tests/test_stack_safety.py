@@ -28,10 +28,13 @@ from conset import (
     make_set,
     map_union,
     maximal_constituents,
+    parse,
     replace,
+    structure_of,
     with_top,
 )
 from conset.cli import EXIT_OK, main
+from conset.kernel import _shortlex
 from conset.numerals import vn, zermelo
 
 pytestmark = pytest.mark.usefixtures("default_recursion_limit")
@@ -101,6 +104,38 @@ class TestDeepConstituency:
         assert maximal_constituents(make_set([chain, apart])) is make_set(
             [chain, apart]
         )
+
+
+class TestDeepText:
+    """Handles keep text lengths, so depth costs memory per node, not per
+    character, and the element order walks down without recursing."""
+
+    def test_deep_equal_length_pair_sorts_by_text(self):
+        # equal lengths, and the texts differ only 10**4 levels down
+        a, b = parse("{{{},{{}}}}"), parse("{{},{{{}}}}")
+        assert a.size == b.size and a.text < b.text
+        for _ in range(10**4):
+            a, b = make_set([a]), make_set([b])
+        assert a.size == b.size
+        assert _shortlex(a) < _shortlex(b) and not _shortlex(b) < _shortlex(a)
+        assert make_set([b, a]).children == (a, b)
+        assert sorted([b, a], key=_shortlex) == [a, b]
+
+    def test_chains_of_depth_100000_stay_small(self):
+        peaks = []
+        for build in (lambda: zermelo(10**5), lambda: parse("{" * 10**5 + "}" * 10**5)):
+            tracemalloc.start()
+            try:
+                h = build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert h.size == 2 * h.rank + 2
+            assert repr(h) == "<set " + "{" * 22 + "..." + "}" * 22 + ">"
+        assert max(peaks) < 64 * 2**20
+
+    def test_numerals_too_long_to_write_compare_by_structure(self):
+        assert isomorphic(structure_of(zermelo(200)), structure_of(vn(200))) is not None
 
 
 class TestWideDiagrams:

@@ -429,5 +429,24 @@ class TestSerialization:
         assert "v0 -> v2" not in dot
         assert dot.endswith("}\n")
 
+    @pytest.mark.parametrize("render", [to_json, to_dot])
+    def test_tags_render_as_their_texts_each_joined_once(self, render, corpus1000, monkeypatch):
+        shapes = corpus1000[:60] + [vn(6), zermelo(60), diamond()]
+        graphs = [structure_of(x) for x in shapes]
+        assert any(t.size > 48 for g in graphs for t in g.tags)
+        got = [render(g) for g in graphs]
+        joined = []
+        real = conset.kernel._pieces
+        monkeypatch.setattr(
+            conset.kernel, "_pieces", lambda h, memo: joined.append(h) or real(h, memo)
+        )
+        for g, out in zip(graphs, got):
+            del joined[:]
+            assert render(g) == out
+            assert sorted(joined, key=id) == sorted({t for t in g.tags if t.size > 48}, key=id)
+        # tag by tag, each text rendered on its own
+        monkeypatch.setattr(structure, "to_text", lambda h, memo=None: h.text)
+        assert [render(g) for g in graphs] == got
+
     def test_point_round_trip(self):
         assert graph_from_json(to_json(POINT)) == POINT
