@@ -19,6 +19,9 @@ Grammar (whitespace-insensitive except between juxtaposed atoms):
 
 A unit's parenthesized tail is application x(y) = compose, replacement
 x(y->z), or — with commas — composition with the tuple of the entries.
+
+A set display written in braces and commas alone is read by `kernel.parse`
+as one token; a display that `parse` rejects is read by the grammar above.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from typing import Generator, NamedTuple
 
 from . import fusion
 from .algebra import compose, replace
-from .errors import CalculusError, EvalError, ExprSyntaxError
-from .kernel import SetHandle, make_set
+from .errors import CalculusError, EvalError, ExprSyntaxError, MalformedText
+from .kernel import SetHandle, make_set, parse
 from .numerals import vn, zermelo
 from .tuples import diamond, kuratowski_pair, make_tuple, position_path
 
@@ -38,7 +41,7 @@ RESERVED = frozenset({"let", "D", "P", "V", "M", "fuse", "close", "kpair"})
 
 
 class _Token(NamedTuple):
-    kind: str  # nat vnat ident arrow newline eof or the punct char itself
+    kind: str  # nat vnat ident arrow newline set eof or the punct char itself
     text: str
     pos: int
 
@@ -46,11 +49,16 @@ class _Token(NamedTuple):
 _PUNCT = "{}()[],;="
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> tuple[list[_Token], dict[int, SetHandle]]:
+    """Tokens of src, and the handle of each "set" token by its offset."""
     toks: list[_Token] = []
+    sets: dict[int, SetHandle] = {}
     i, n = 0, len(src)
     while i < n:
         ch = src[i]
+        if ch == "{":
+            i = _brace_run(src, i, toks, sets)
+            continue
         if ch in " \t\r":
             i += 1
             continue
@@ -83,15 +91,63 @@ def _tokenize(src: str) -> list[_Token]:
             continue
         raise ExprSyntaxError(f"unexpected character {ch!r} at offset {i}")
     toks.append(_Token("eof", "", n))
-    return toks
+    return toks, sets
 
 
-_ATOM_STARTS = {"{", "nat", "vnat", "ident", "(", "["}
+def _brace_run(
+    src: str, i: int, toks: list[_Token], sets: dict[int, SetHandle]
+) -> int:
+    """Tokenize the run of brace text that starts at src[i] == "{".
+
+    A run is a stretch of braces, commas, spaces, tabs and CRs; a newline
+    ends it, as it is a token.  Each group that closes inside the run, and
+    lies in no larger such group, is read by `kernel.parse` and becomes one
+    "set" token (text "{", at the group's offset).  A group that `parse`
+    rejects, such as "{{}{}}" where juxtaposition composes, or "{,}", keeps
+    its tokens brace by brace.  Returns the offset where the run ends.
+    """
+    n = len(src)
+    run: list[int] = []  # offset of each brace and comma
+    opened: list[int] = []  # index in run of each open brace
+    groups: list[tuple[int, int]] = []  # indices in run of a group's braces
+    while i < n:
+        ch = src[i]
+        if ch == "{":
+            opened.append(len(run))
+        elif ch == "}":
+            if opened:
+                k = opened.pop()
+                while groups and groups[-1][0] > k:
+                    groups.pop()
+                groups.append((k, len(run)))
+        elif ch != ",":
+            if ch not in " \t\r":
+                break
+            i += 1
+            continue
+        run.append(i)
+        i += 1
+    done = 0
+    for k, m in groups:
+        lo = run[k]
+        try:
+            sets[lo] = parse(src[lo : run[m] + 1])
+        except MalformedText:
+            continue
+        toks += [_Token(src[p], src[p], p) for p in run[done:k]]
+        toks.append(_Token("set", "{", lo))
+        done = m + 1
+    toks += [_Token(src[p], src[p], p) for p in run[done:]]
+    return i
+
+
+_ATOM_STARTS = {"{", "set", "nat", "vnat", "ident", "(", "["}
 
 
 class _Parser:
-    def __init__(self, toks: list[_Token]):
+    def __init__(self, toks: list[_Token], sets: dict[int, SetHandle]):
         self.toks = toks
+        self.sets = sets
         self.i = 0
 
     def peek(self) -> _Token:
@@ -185,6 +241,9 @@ class _Parser:
 
     def parse_atom(self):
         t = self.peek()
+        if t.kind == "set":
+            self.next()
+            return ("set", t.pos, self.sets[t.pos])
         if t.kind == "{":
             self.next()
             items = []
@@ -297,6 +356,8 @@ def _eval_all(nodes, env: dict[str, SetHandle]):
 
 def _eval(node, env: dict[str, SetHandle]):
     kind, pos = node[0], node[1]
+    if kind == "set":
+        return node[2]
     try:
         if kind == "braces":
             return make_set((yield from _eval_all(node[2], env)))
@@ -336,7 +397,7 @@ def _eval(node, env: dict[str, SetHandle]):
 
 def evaluate(source: str, env: dict[str, SetHandle] | None = None) -> SetHandle:
     """Run a program: let-bindings followed by one expression."""
-    bindings, final = _run(_Parser(_tokenize(source)).parse_program())
+    bindings, final = _run(_Parser(*_tokenize(source)).parse_program())
     scope = dict(env or {})
     for name, _pos, value in bindings:
         scope[name] = _run(_eval(value, scope))

@@ -6,8 +6,10 @@ pin the translation, not the primitives themselves.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conset import compose, empty, make_set, replace
+from conset import compose, empty, make_set, parse, replace
 from conset.errors import EvalError, ExprSyntaxError
 from conset.expr import evaluate
 from conset.fusion import middle
@@ -171,3 +173,76 @@ class TestRoundTrip:
     def test_canonical_text_evaluates_to_the_same_handle(self, corpus200):
         for h in corpus200:
             assert evaluate(h.text) is h
+
+
+# Raw brace text: nested tuples of children, written with duplicates and in
+# any order, with spaces, tabs and CRs between tokens.
+TREES = st.recursive(
+    st.just(()), lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=24
+)
+BLANKS = st.sampled_from(["", " ", "\t", "\r", " \t\r "])
+
+
+def _subtrees(tree, path=()):
+    yield path, tree
+    for i, child in enumerate(tree):
+        yield from _subtrees(child, path + (i,))
+
+
+def _write(tree, blank, hole=None, path=()):
+    """tree as brace text with blank() between tokens; the subtree at hole is s."""
+    if path == hole:
+        return "s"
+    items = [
+        _write(child, blank, hole, path + (i,)) + blank()
+        for i, child in enumerate(tree)
+    ]
+    return "{" + blank() + ("," + blank()).join(items) + "}"
+
+
+class TestBraceLiterals:
+    """A brace-only literal is read by `parse`; results and errors are those
+    of the grammar read brace by brace."""
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("{,}", "expected an expression at offset 1, found ','"),
+            ("{{},}", "expected an expression at offset 4, found '}'"),
+            ("{\n}", "expected an expression at offset 1, found '\\n'"),
+            ("P({})", "expected a coordinate at offset 2, found '{'"),
+            ("{}}", "trailing input at offset 2: '}'"),
+            ("{{}", "expected '}' closing set display at offset 3, found 'end of input'"),
+            ("{}, {}", "trailing input at offset 2: ','"),
+        ],
+    )
+    def test_error_messages(self, src, message):
+        with pytest.raises(ExprSyntaxError) as caught:
+            evaluate(src)
+        assert str(caught.value) == message
+
+    def test_juxtaposed_braces_compose(self):
+        # parse rejects these, so they are read brace by brace
+        assert evaluate("{{}{}}") is Z(1)
+        assert evaluate("{{} {}}") is Z(1)
+
+    def test_literals_next_to_other_tokens(self):
+        assert evaluate("{{}}({})") is compose(Z(1), empty())
+        assert evaluate("{} {{}}") is compose(empty(), Z(1))
+        assert evaluate("let s = {}; { {{}}, s }") is vn(2)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(TREES, st.data())
+    def test_raw_text_evaluates_as_parse(self, tree, data):
+        def blank():
+            return data.draw(BLANKS)
+
+        h = parse(_write(tree, blank))
+        assert evaluate(blank() + _write(tree, blank) + blank()) is h
+        # a name in place of one inner group: the groups around it are
+        # read brace by brace
+        inner = list(_subtrees(tree))[1:]
+        if inner:
+            hole, sub = data.draw(st.sampled_from(inner))
+            program = f"let s = {_write(sub, blank)}; {_write(tree, blank, hole)}"
+            assert evaluate(program) is h

@@ -33,6 +33,7 @@ from conset import (
     structure_of,
     with_top,
 )
+from conset import expr
 from conset.cli import EXIT_OK, main
 from conset.kernel import _shortlex
 from conset.numerals import vn, zermelo
@@ -159,6 +160,43 @@ class TestWideDiagrams:
 class TestDeepPrograms:
     def test_evaluate_nested_braces(self):
         assert evaluate("{" * 2000 + "}" * 2000).text == "{" * 2000 + "}" * 2000
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        """The texts that evaluate hands to kernel.parse."""
+        calls = []
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(expr, "parse", counting_parse)
+        return calls
+
+    def test_evaluate_100000_nested_braces(self, parse_calls):
+        text = "{" * 10**5 + "}" * 10**5
+        assert evaluate(text) is parse(text)
+        assert parse_calls == [text]
+
+    def test_braces_around_a_name_are_read_one_by_one(self, parse_calls):
+        src = "let s = {}; " + "{" * 20000 + "s" + "}" * 20000
+        assert evaluate(src) is zermelo(20000)
+        assert parse_calls == ["{}"]
+
+    def test_juxtaposition_deep_inside_braces(self):
+        # parse rejects the group, so it is read brace by brace
+        assert evaluate("{" * 20000 + "{}{}" + "}" * 20000) is zermelo(20000)
+
+    @pytest.mark.parametrize(
+        "src, groups",
+        [
+            ("{{}, {{}}}({}, {{}}) {{{}}}", ["{{}, {{}}}", "{}", "{{}}", "{{{}}}"]),
+            ("let s = {{}}\n{{}, s, {{}}}", ["{{}}", "{}", "{{}}"]),
+        ],
+    )
+    def test_parse_reads_each_outermost_group_once(self, parse_calls, src, groups):
+        evaluate(src)
+        assert parse_calls == groups
 
     def test_cli_eval_nested_braces_keeps_the_limit(self):
         out = io.StringIO()
