@@ -49,7 +49,15 @@ def _substitute(x: SetHandle, table: dict[SetHandle, SetHandle]) -> SetHandle:
 
 
 def replace(x: SetHandle, y: SetHandle, z: SetHandle) -> SetHandle:
-    """x with every occurrence of y replaced by z, judged on original subterms."""
+    """x with every occurrence of y replaced by z, judged on original subterms.
+
+    Raises TypeError when an argument is not a set handle.
+    """
+    if not (
+        isinstance(x, SetHandle) and isinstance(y, SetHandle) and isinstance(z, SetHandle)
+    ):
+        names = ", ".join(type(a).__name__ for a in (x, y, z))
+        raise TypeError(f"replace takes sets, got {names}")
     if y is z or not is_constituent(y, x):
         return x
     return _substitute(x, {y: z})

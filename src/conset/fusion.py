@@ -36,7 +36,7 @@ from .kernel import (
     fold,
     make_set,
 )
-from .tuples import _branch, _parse_marker, _slot, position
+from .tuples import _branch, _parse_marker, _positions, _slot
 
 __all__ = [
     "TopStructure",
@@ -224,7 +224,7 @@ def match_terminals(
 
 def _fuse_formula(top: SetHandle, terms: Sequence[SetHandle]) -> SetHandle:
     """Every slot n of top replaced by terms[n] at once; branches stay intact."""
-    return _substitute(top, {position(n): t for n, t in enumerate(terms)})
+    return _substitute(top, dict(zip(_positions(len(terms)), terms)))
 
 
 def fuse(t: SetHandle | TopStructure, b: SetHandle | BottomStructure) -> SetHandle:
@@ -259,7 +259,10 @@ def middle(entries: Sequence[SetHandle]) -> MiddleStructure:
     """Pass-through structure carrying each entry between slot n and marker n."""
     if not entries:
         raise ValueError("a middle structure needs at least one entry")
-    parts = [_branch(n, compose(e, position(n))) for n, e in enumerate(entries)]
+    parts = [
+        _branch(n, compose(e, p))
+        for n, (e, p) in enumerate(zip(entries, _positions(len(entries))))
+    ]
     return middle_structure(make_set(parts))
 
 
@@ -274,7 +277,8 @@ def middle_permutation(perm: Sequence[int]) -> MiddleStructure:
     """Middle structure wiring slot n straight to marker perm(n)."""
     if sorted(perm) != list(range(len(perm))):
         raise NotAPermutation(f"{list(perm)} is not a permutation of 0..{len(perm) - 1}")
-    parts = [_branch(n, position(p)) for n, p in enumerate(perm)]
+    slots = list(_positions(len(perm)))
+    parts = [_branch(n, slots[p]) for n, p in enumerate(perm)]
     return middle_structure(make_set(parts))
 
 
@@ -335,7 +339,7 @@ def has_top_structure(
         raise NotAStructure("decomposition queries require offset-0 slots")
     m = tv.arity
     lt = _levels(tv.set, tv.set.rank)
-    depths = [[d for d, lv in enumerate(lt) if p in lv] for p in map(position, range(m))]
+    depths = [[d for d, lv in enumerate(lt) if p in lv] for p in _positions(m)]
     # x is walked only to the deepest slot; lower levels are never read
     lx = _levels(x, max((ds[-1] for ds in depths), default=0))
     cands = [[a for a in lx[ds[0]] if all(a in lx[d] for d in ds)] for ds in depths]
@@ -380,7 +384,7 @@ def has_bottom_structure(
         raise NotAStructure("decomposition queries require offset-0 markers")
     m = bv.arity
     terms = [_parse_marker(mk)[1] for mk in bv.markers]
-    slots = [position(n) for n in range(m)]
+    slots = list(_positions(m))
     inside = _below(slots)
 
     def preimages(w: SetHandle, kids: list[list[SetHandle]]) -> list[SetHandle]:

@@ -1,12 +1,13 @@
 """Interned canonical handles for pure finite sets.
 
-Every distinct set is stored exactly once, keyed by the identities of its
-distinct elements, so finding a set already built reads no text.  A new
-handle keeps its elements as a tuple of child handles sorted by the shortlex
-order of their canonical text (length first, then lexicographic).  Because
-construction always goes through the intern table, handle identity coincides
-with set equality and every equality test in the package is a single pointer
-comparison.
+Every distinct set is stored exactly once: a one-element set under its
+element, any other under the hash of its element set, checked against the
+handle found there.  Finding a set already built sorts nothing and reads no
+text.  A new handle keeps its elements as a tuple of child handles sorted by
+the shortlex order of their canonical text (length first, then
+lexicographic).  Because construction always goes through the intern table,
+handle identity coincides with set equality and every equality test in the
+package is a single pointer comparison.
 
 A handle records three numbers read off its children when it is built: its
 rank (nesting height), its instance count and its text length.  It keeps its
@@ -211,7 +212,12 @@ def _tail(h: SetHandle) -> str:
     return s[-22:]
 
 
-_table: dict[SetHandle | tuple[SetHandle, ...], SetHandle] = {}
+# A one-element set is keyed by its element.  Any other set is keyed by the
+# hash of its element set, an int, unless a different set holds that hash;
+# then it is keyed by the element set itself.  The int keys live apart from
+# the elements, so no int can pass for an element.
+_single: dict[SetHandle, SetHandle] = {}
+_table: dict[int | frozenset[SetHandle], SetHandle] = {}
 _ids = itertools.count()
 
 
@@ -224,21 +230,37 @@ def _shortlex(h: SetHandle) -> tuple[int, SetHandle]:
 def make_set(elems: Iterable[SetHandle]) -> SetHandle:
     """The canonical set whose elements are the given handles.
 
-    Keyed by the only element, or else the distinct elements ordered by id (a
-    sort in C that reads no text); only a miss sorts by _shortlex.  The new
-    handle stores its text length, and its text only when that is short.
+    A one-item list or tuple is looked up by its item, with no frozenset.
+    Otherwise the distinct elements are gathered in a frozenset: one of them
+    is looked up by itself, and any other number by the frozenset's hash,
+    which finds the set when the handle stored there has exactly these
+    elements (else by the frozenset itself).  A hit sorts nothing and reads
+    no text; only a miss sorts by _shortlex.  The new handle stores its text
+    length, and its text only when that is short.
     """
-    uniq = frozenset(elems)
-    key = ()
-    if len(uniq) == 1:
-        (key,) = uniq
-    elif uniq:
-        key = tuple(sorted(uniq, key=id))
-    h = _table.get(key)
+    if (elems.__class__ is list or elems.__class__ is tuple) and len(elems) == 1:
+        uniq = elems
+    else:
+        uniq = frozenset(elems)
+        if len(uniq) != 1:
+            key = hash(uniq)
+            h = _table.get(key)
+            if h is not None and (
+                len(h.children) != len(uniq) or not uniq.issuperset(h.children)
+            ):
+                # another set holds this hash
+                key = uniq
+                h = _table.get(key)
+            if h is None:
+                children = tuple(sorted(uniq, key=_shortlex))
+                # setdefault keeps insert-if-absent atomic; a racing duplicate loses
+                h = _table.setdefault(key, SetHandle(next(_ids), children))
+            return h
+    (e,) = uniq
+    h = _single.get(e)
     if h is None:
         children = tuple(sorted(uniq, key=_shortlex))
-        # setdefault keeps insert-if-absent atomic; a racing duplicate loses
-        h = _table.setdefault(key, SetHandle(next(_ids), children))
+        h = _single.setdefault(e, SetHandle(next(_ids), children))
     return h
 
 

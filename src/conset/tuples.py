@@ -14,7 +14,7 @@ reports exactly when and why the encoding loses information.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import _substitute, compose, max_with_bottom_unique
 from .errors import NoneFound, NoSuchPosition, NotAStructure
@@ -91,6 +91,15 @@ def position(n: int) -> SetHandle:
     return _pad(zermelo(n))
 
 
+def _positions(m: int) -> Iterator[SetHandle]:
+    """position(0), ..., position(m - 1), walking up the numeral chain once
+    instead of rebuilding zermelo(n) for each n."""
+    z = EMPTY
+    for _ in range(m):
+        yield _pad(z)
+        z = make_set([z])
+
+
 def position_path(coords: Sequence[int]) -> SetHandle:
     """Marker for a nested slot; coords run innermost-first.
 
@@ -111,7 +120,7 @@ def make_tuple(entries: Sequence[SetHandle]) -> SetHandle:
     """Ordered tuple: each entry composed onto its position marker."""
     if not entries:
         raise ValueError("a tuple needs at least one entry")
-    return make_set([compose(e, position(i)) for i, e in enumerate(entries)])
+    return make_set([compose(e, p) for e, p in zip(entries, _positions(len(entries)))])
 
 
 def contains_position(t: SetHandle, coords: Sequence[int]) -> bool:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conset import fusion
-from conset.algebra import compose_all
+from conset.algebra import compose, compose_all, replace
 from conset.cli import main
 from conset.errors import CalculusError, MalformedGraph, NotAStructure
 from conset.fusion import (
@@ -115,6 +115,18 @@ class TestBoundaryCases:
             main(argv)
         assert exit_.value.code == 2
         assert "argument --budget: must be an integer of at least 1" in capsys.readouterr().err
+
+    def test_replace_and_compose_take_only_sets(self):
+        y = vn(2)
+        # y is y would otherwise return the first argument untouched
+        for call in (
+            lambda: compose(5, EMPTY),
+            lambda: replace(5, y, y),
+            lambda: replace(y, 5, 5),
+            lambda: compose(EMPTY, 5),
+        ):
+            with pytest.raises(TypeError, match="replace takes sets"):
+                call()
 
     def test_bottom_record_with_too_few_markers(self):
         lying = BottomStructure(set=make_tuple([Z(0), Z(1)]), arity=2, markers=())

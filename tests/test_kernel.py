@@ -1,6 +1,7 @@
 """Canonical text kernel: parsing, printing, interning, constituents."""
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -106,6 +107,13 @@ class TestMakeSet:
         assert hash(a) == hash(b)
 
 
+def _fresh():
+    """A set never made before: the singleton of the newest handle."""
+    kernel = conset.kernel
+    handles = itertools.chain(kernel._table.values(), kernel._single.values())
+    return make_set([max(handles, key=lambda h: h.uid)])
+
+
 class TestInternKey:
     """The intern key depends on which elements are given, never on their order."""
 
@@ -123,9 +131,8 @@ class TestInternKey:
 
     def test_hit_reads_no_shortlex_and_miss_reads_each_element_once(self, shortlex_calls):
         others = [empty(), zermelo(1), vn(2), vn(3)]
-        # a set holding the newest handle was never made before
-        newest = max(conset.kernel._table.values(), key=lambda h: h.uid)
-        fresh = make_set([newest])
+        fresh = _fresh()
+        newest = fresh.children[0]
         del shortlex_calls[:]
         made = make_set([fresh, *others])
         assert len(shortlex_calls) == 5
@@ -143,6 +150,44 @@ class TestInternKey:
             elems += rng.sample(elems, min(2, len(elems)))
             rng.shuffle(elems)
             assert make_set(elems) is c
+
+    def test_a_taken_hash_falls_back_to_the_element_set(self, shortlex_calls):
+        a = _fresh()
+        b = make_set([a])
+        decoy = vn(3)
+        key = hash(frozenset([a, b]))
+        assert key not in conset.kernel._table
+        # the decoy stays planted: {a, b} is then stored under its element
+        # set, and only the decoy at this hash sends a lookup there
+        conset.kernel._table[key] = decoy
+        ab = make_set([a, b])
+        assert ab is not decoy and ab.children == (a, b)
+        assert conset.kernel._table[frozenset([a, b])] is ab
+        del shortlex_calls[:]
+        assert make_set([b, a]) is ab
+        assert make_set((b, a, b)) is ab
+        assert parse(ab.text) is ab
+        assert make_set(decoy.children) is decoy
+        assert shortlex_calls == []
+
+    def test_an_int_key_is_no_element(self):
+        k = next(key for key in conset.kernel._table if isinstance(key, int))
+        for elems in ([k], (k,), iter([k]), frozenset([k]), [k, k], [k, empty()]):
+            with pytest.raises(AttributeError):
+                make_set(elems)
+        assert k not in conset.kernel._single
+
+    @pytest.mark.parametrize("kind", [list, tuple, iter, frozenset])
+    def test_every_iterable_kind_finds_the_same_set(self, kind, corpus200):
+        e = empty()
+        assert make_set(kind([])) is e
+        assert make_set(kind([e])) is zermelo(1)
+        assert make_set(kind([e, e])) is zermelo(1)
+        for x in corpus200[:50]:
+            kids = list(x.children)
+            assert make_set(kind(kids + kids[:1])) is x
+            assert make_set(kind([x, x])) is make_set([x])
+            assert make_set(kind([e, x, e])) is make_set([x, e])
 
     def test_singleton_and_its_element_are_distinct(self, corpus200):
         for x in set().union(*map(constituent_set, corpus200)):

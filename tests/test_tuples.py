@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 import conset.algebra
+import conset.kernel
 from conset import (
     NoSuchPosition,
     compose,
@@ -20,6 +22,7 @@ from conset.tuples import (
     PairDiagnosis,
     _branch,
     _parse_marker,
+    _positions,
     _slot,
     _unpad,
     constituent_at,
@@ -33,6 +36,7 @@ from conset.tuples import (
     position,
     position_path,
 )
+from conset.corpus import generate
 from conset.fusion import validate_top
 
 
@@ -64,6 +68,10 @@ class TestPositions:
             for k in range(7):
                 if j != k:
                     assert not is_constituent(position(j), position(k))
+
+    def test_positions_walk_the_markers_in_slot_order(self):
+        assert list(_positions(0)) == []
+        assert list(_positions(40)) == [position(n) for n in range(40)]
 
     def test_path_of_single_coordinate(self):
         for p in range(4):
@@ -161,6 +169,27 @@ class TestMakeTuple:
     def test_rejects_empty_list(self):
         with pytest.raises(Exception):
             make_tuple([])
+
+    def test_make_set_calls_grow_with_the_entries(self, monkeypatch):
+        """The markers share one numeral chain, so a doubling of the entries
+        about doubles the work (rebuilding zermelo(n) per slot made it ×3.9)."""
+        real = conset.kernel.make_set
+        calls = []
+
+        def counting(elems):
+            calls.append(None)
+            return real(elems)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("conset") and getattr(module, "make_set", None) is real:
+                monkeypatch.setattr(module, "make_set", counting)
+        entries = generate(7, 1000, max_depth=5)
+        counts = []
+        for m in (250, 500, 1000):
+            del calls[:]
+            make_tuple(entries[:m])
+            counts.append(len(calls))
+        assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
 
 
 class TestContainsPosition:
