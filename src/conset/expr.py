@@ -22,11 +22,14 @@ x(y->z), or — with commas — composition with the tuple of the entries.
 
 A set display written in braces and commas alone is read by `kernel.parse`
 as one token; a display that `parse` rejects is read by the grammar above.
+One loop reads the grammar, with the constructs still open on its own stack,
+and writes postfix code; a second loop runs that code on a stack of values.
+So depth costs list entries, not interpreter frames, in both.
 """
 
 from __future__ import annotations
 
-from typing import Generator, NamedTuple
+from typing import NamedTuple
 
 from . import fusion
 from .algebra import compose, replace
@@ -143,12 +146,30 @@ def _brace_run(
 
 _ATOM_STARTS = {"{", "set", "nat", "vnat", "ident", "(", "["}
 
+# frame kind -> the token that closes it, what is expected there, the op it
+# writes; "apply" is a unit's tail x(y), which becomes "->" at an arrow and
+# "tail," at a comma
+_CLOSERS = {
+    "{": ("}", "'}' closing set display", "braces"),
+    "(": (")", "')' closing tuple", "tuple"),
+    "[": ("]", "']' closing middle structure", "middle"),
+    "fuse": (")", "')' closing fuse", "fuse"),
+    "kpair": (")", "')' closing kpair", "kpair"),
+    "close": (")", "')' closing close", "close"),
+    "apply": (")", "')' closing application", "compose"),
+    "->": (")", "')' closing replacement", "replace"),
+    "tail,": (")", "')' closing tuple argument", "tuple"),
+}
+
 
 class _Parser:
+    """Reads a program into postfix code: a list of (op, offset, arg)."""
+
     def __init__(self, toks: list[_Token], sets: dict[int, SetHandle]):
         self.toks = toks
         self.sets = sets
         self.i = 0
+        self.code: list[tuple] = []
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -171,8 +192,9 @@ class _Parser:
             self.next()
 
     # program := let-statements, final expression
-    def parse_program(self):
-        bindings = []
+    def parse_program(self) -> list[tuple]:
+        """The code of each binding's value and a "let" op, then the final
+        expression's code."""
         self.skip_separators()
         while self.peek().kind == "ident" and self.peek().text == "let":
             let_tok = self.next()
@@ -183,222 +205,184 @@ class _Parser:
                     f" (offset {name_tok.pos})"
                 )
             self.expect("=", "'=' in let-binding")
-            value = yield self.parse_expr()
+            self.parse_expr()
             if self.peek().kind not in ("newline", ";", "eof"):
                 t = self.peek()
                 raise ExprSyntaxError(
                     f"expected end of statement at offset {t.pos}, found {t.text!r}"
                 )
-            bindings.append((name_tok.text, let_tok.pos, value))
+            self.code.append(("let", let_tok.pos, name_tok.text))
             self.skip_separators()
         if self.peek().kind == "eof":
             raise ExprSyntaxError("the program must end with an expression")
-        final = yield self.parse_expr()
+        self.parse_expr()
         self.skip_separators()
         t = self.peek()
         if t.kind != "eof":
             raise ExprSyntaxError(
                 f"trailing input at offset {t.pos}: {t.text!r}"
             )
-        return bindings, final
+        return self.code
 
-    def parse_expr(self):
-        units = [(yield self.parse_unit())]
-        while self.peek().kind in _ATOM_STARTS:
-            units.append((yield self.parse_unit()))
-        node = units[-1]
-        for u in reversed(units[:-1]):
-            node = ("compose", u[1], u, node)
-        return node
+    def parse_expr(self) -> None:
+        """Read one expression, however deep, and append its code.
 
-    def parse_unit(self):
-        node = yield self.parse_atom()
-        while self.peek().kind == "(":
-            open_tok = self.next()
-            first = yield self.parse_expr()
-            t = self.peek()
-            if t.kind == "arrow":
+        `frames` holds the constructs still open, innermost last, each as
+        [kind, offset, entries read, offsets of the units of the entry being
+        read]; the bottom frame is the expression itself.  Juxtaposed units
+        compose right to left, so an entry of k units ends with k-1 "compose"
+        ops, at the offsets of its units but the last, innermost first.
+        """
+        code = self.code
+        frames: list[list] = [["expr", 0, 0, []]]
+        while True:
+            t = self.next()
+            if t.kind == "set":
+                code.append(("set", t.pos, self.sets[t.pos]))
+            elif t.kind == "{" and self.peek().kind == "}":
                 self.next()
-                repl = yield self.parse_expr()
-                self.expect(")", "')' closing replacement")
-                node = ("replace", open_tok.pos, node, first, repl)
-            elif t.kind == ",":
-                entries = [first]
-                while self.peek().kind == ",":
-                    self.next()
-                    entries.append((yield self.parse_expr()))
-                self.expect(")", "')' closing tuple argument")
-                node = (
-                    "compose",
-                    open_tok.pos,
-                    node,
-                    ("tuple", open_tok.pos, entries),
-                )
-            else:
-                self.expect(")", "')' closing application")
-                node = ("compose", open_tok.pos, node, first)
-        return node
-
-    def parse_atom(self):
-        t = self.peek()
-        if t.kind == "set":
-            self.next()
-            return ("set", t.pos, self.sets[t.pos])
-        if t.kind == "{":
-            self.next()
-            items = []
-            if self.peek().kind != "}":
-                items.append((yield self.parse_expr()))
-                while self.peek().kind == ",":
-                    self.next()
-                    items.append((yield self.parse_expr()))
-            self.expect("}", "'}' closing set display")
-            return ("braces", t.pos, items)
-        if t.kind == "nat":
-            self.next()
-            return ("nat", t.pos, int(t.text))
-        if t.kind == "vnat":
-            self.next()
-            return ("vnat", t.pos, int(t.text))
-        if t.kind == "(":
-            self.next()
-            first = yield self.parse_expr()
-            if self.peek().kind != ",":
+                code.append(("braces", t.pos, 0))
+            elif t.kind in ("{", "(", "["):
+                frames.append([t.kind, t.pos, 0, []])
+                continue
+            elif t.kind in ("nat", "vnat"):
+                code.append((t.kind, t.pos, int(t.text)))
+            elif t.kind != "ident":
                 raise ExprSyntaxError(
-                    f"a parenthesized expression must be a tuple of two or more"
-                    f" entries (offset {t.pos}); apply composition as x(y) instead"
+                    f"expected an expression at offset {t.pos}, found"
+                    f" {t.text or 'end of input'!r}"
                 )
-            entries = [first]
-            while self.peek().kind == ",":
-                self.next()
-                entries.append((yield self.parse_expr()))
-            self.expect(")", "')' closing tuple")
-            return ("tuple", t.pos, entries)
-        if t.kind == "[":
-            self.next()
-            entries = [(yield self.parse_expr())]
-            while self.peek().kind == ",":
-                self.next()
-                entries.append((yield self.parse_expr()))
-            self.expect("]", "']' closing middle structure")
-            suffix = self.peek()
-            if suffix.kind != "ident" or suffix.text != "M":
-                raise ExprSyntaxError(
-                    f"expected 'M' after ']' at offset {suffix.pos}"
-                )
-            self.next()
-            return ("middle", t.pos, entries)
-        if t.kind == "ident":
-            word = t.text
-            if word == "D":
-                self.next()
-                return ("diamond", t.pos)
-            if word == "P":
-                self.next()
+            elif t.text == "D":
+                code.append(("diamond", t.pos, None))
+            elif t.text == "P":
                 self.expect("(", "'(' after P")
                 coords = [int(self.expect("nat", "a coordinate").text)]
                 while self.peek().kind == ",":
                     self.next()
                     coords.append(int(self.expect("nat", "a coordinate").text))
                 self.expect(")", "')' closing position path")
-                return ("pospath", t.pos, coords)
-            if word in ("fuse", "kpair"):
-                self.next()
-                self.expect("(", f"'(' after {word}")
-                a = yield self.parse_expr()
-                self.expect(",", f"',' between {word} arguments")
-                b = yield self.parse_expr()
-                self.expect(")", f"')' closing {word}")
-                return (word, t.pos, a, b)
-            if word == "close":
-                self.next()
-                self.expect("(", "'(' after close")
-                a = yield self.parse_expr()
-                self.expect(")", "')' closing close")
-                return ("close", t.pos, a)
-            if word in RESERVED:
-                raise ExprSyntaxError(
-                    f"{word!r} cannot stand alone (offset {t.pos})"
-                )
-            self.next()
-            return ("name", t.pos, word)
-        raise ExprSyntaxError(
-            f"expected an expression at offset {t.pos}, found"
-            f" {t.text or 'end of input'!r}"
-        )
+                code.append(("pospath", t.pos, coords))
+            elif t.text in ("fuse", "kpair", "close"):
+                self.expect("(", f"'(' after {t.text}")
+                frames.append([t.text, t.pos, 0, []])
+                continue
+            elif t.text in RESERVED:
+                raise ExprSyntaxError(f"{t.text!r} cannot stand alone (offset {t.pos})")
+            else:
+                code.append(("name", t.pos, t.text))
+            pos = t.pos
+            # the atom or tail at pos is read: open its next tail, start the
+            # next unit, or end the entry and with it maybe the frame
+            while True:
+                t = self.peek()
+                if t.kind == "(":
+                    # the unit's value is the tail's first operand
+                    frames.append(["apply", self.next().pos, 1, []])
+                    break
+                f = frames[-1]
+                units = f[3]
+                units.append(pos)
+                if t.kind in _ATOM_STARTS:
+                    break
+                if len(units) > 1:
+                    code += [("compose", p, 2) for p in reversed(units[:-1])]
+                units.clear()
+                if len(frames) == 1:
+                    return
+                kind = f[0]
+                f[2] += 1
+                if kind == "apply" and t.kind == "arrow":
+                    self.next()
+                    f[0] = "->"
+                    break
+                if kind == "apply" and t.kind == ",":
+                    kind = f[0] = "tail,"
+                    f[2] = 1
+                if t.kind == "," and kind in ("{", "(", "[", "tail,"):
+                    self.next()
+                    break
+                if kind in ("fuse", "kpair") and f[2] == 1:
+                    self.expect(",", f"',' between {kind} arguments")
+                    break
+                if kind == "(" and f[2] == 1:
+                    raise ExprSyntaxError(
+                        f"a parenthesized expression must be a tuple of two or more"
+                        f" entries (offset {f[1]}); apply composition as x(y) instead"
+                    )
+                closer, what, op = _CLOSERS[kind]
+                self.expect(closer, what)
+                if kind == "[":
+                    suffix = self.peek()
+                    if suffix.kind != "ident" or suffix.text != "M":
+                        raise ExprSyntaxError(
+                            f"expected 'M' after ']' at offset {suffix.pos}"
+                        )
+                    self.next()
+                frames.pop()
+                code.append((op, f[1], f[2]))
+                if kind == "tail,":
+                    code.append(("compose", f[1], 2))
+                pos = f[1]
 
 
-def _run(gen: Generator):
-    """Run a parse or evaluation step that yields the steps it depends on.
+# op -> its value, made of its constant arg or of the operands it takes
+_OPS = {
+    "nat": zermelo,
+    "vnat": vn,
+    "pospath": position_path,
+    "diamond": lambda _: diamond(),
+    "braces": make_set,
+    "tuple": make_tuple,
+    "middle": lambda es: fusion.middle(es).set,
+    "fuse": lambda ab: fusion.fuse(*ab),
+    "kpair": lambda ab: kuratowski_pair(*ab),
+    "close": lambda a: fusion.close(*a),
+    "compose": lambda ab: compose(*ab),
+    "replace": lambda xyz: replace(*xyz),
+}
+_CONSTANT = {"nat", "vnat", "pospath", "diamond"}
 
-    Each yielded step runs to completion and its result is sent back, so
-    nesting depth costs list entries here, not interpreter frames.  An
-    exception leaves straight through: the step that raised it has already
-    wrapped it, and the steps waiting on it would only re-raise it.
+
+def _execute(code: list[tuple], scope: dict[str, SetHandle]) -> SetHandle:
+    """Run postfix code on a stack of values and return the one left.
+
+    An op other than "set", "name" and "let" takes as many values off the
+    stack as its arg counts, or takes its arg as a constant, and puts its
+    value on; a domain error it raises becomes an EvalError at its offset.
     """
-    stack, value = [gen], None
-    while stack:
+    stack: list[SetHandle] = []
+    for op, pos, arg in code:
+        if op == "set":
+            stack.append(arg)
+            continue
+        if op == "name":
+            if arg not in scope:
+                raise EvalError(f"unbound name {arg!r} (offset {pos})")
+            stack.append(scope[arg])
+            continue
+        if op == "let":
+            scope[arg] = stack.pop()
+            continue
+        if op not in _CONSTANT:
+            cut = len(stack) - arg
+            arg = stack[cut:]
+            del stack[cut:]
         try:
-            stack.append(stack[-1].send(value))
-            value = None
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
-    return value
-
-
-def _eval_all(nodes, env: dict[str, SetHandle]):
-    vals = []
-    for e in nodes:
-        vals.append((yield _eval(e, env)))
-    return vals
-
-
-def _eval(node, env: dict[str, SetHandle]):
-    kind, pos = node[0], node[1]
-    if kind == "set":
-        return node[2]
-    try:
-        if kind == "braces":
-            return make_set((yield from _eval_all(node[2], env)))
-        if kind == "nat":
-            return zermelo(node[2])
-        if kind == "vnat":
-            return vn(node[2])
-        if kind == "diamond":
-            return diamond()
-        if kind == "pospath":
-            return position_path(node[2])
-        if kind == "tuple":
-            return make_tuple((yield from _eval_all(node[2], env)))
-        if kind == "middle":
-            return fusion.middle((yield from _eval_all(node[2], env))).set
-        if kind == "fuse":
-            return fusion.fuse(*(yield from _eval_all(node[2:], env)))
-        if kind == "close":
-            return fusion.close((yield _eval(node[2], env)))
-        if kind == "kpair":
-            return kuratowski_pair(*(yield from _eval_all(node[2:], env)))
-        if kind == "compose":
-            return compose(*(yield from _eval_all(node[2:], env)))
-        if kind == "replace":
-            return replace(*(yield from _eval_all(node[2:], env)))
-        if kind == "name":
-            name = node[2]
-            if name not in env:
-                raise EvalError(f"unbound name {name!r} (offset {pos})")
-            return env[name]
-    except (EvalError, ExprSyntaxError):
-        raise
-    except CalculusError as e:
-        raise EvalError(f"{e} (offset {pos})") from e
-    raise AssertionError(f"unknown node kind {kind!r}")
+            stack.append(_OPS[op](arg))
+        except CalculusError as e:
+            raise EvalError(f"{e} (offset {pos})") from e
+    return stack.pop()
 
 
 def evaluate(source: str, env: dict[str, SetHandle] | None = None) -> SetHandle:
-    """Run a program: let-bindings followed by one expression."""
-    bindings, final = _run(_Parser(*_tokenize(source)).parse_program())
+    """Run a program: let-bindings followed by one expression.
+
+    The whole program is read before any of it runs, so a syntax error is
+    raised before any evaluation error.  Raises TypeError when a value of
+    env is not a set handle.
+    """
     scope = dict(env or {})
-    for name, _pos, value in bindings:
-        scope[name] = _run(_eval(value, scope))
-    return _run(_eval(final, scope))
+    for name, value in scope.items():
+        if not isinstance(value, SetHandle):
+            raise TypeError(f"env[{name!r}] is {type(value).__name__}, not a set")
+    return _execute(_Parser(*_tokenize(source)).parse_program(), scope)

@@ -16,6 +16,7 @@ from conset import fusion
 from conset.algebra import compose, compose_all, replace
 from conset.cli import main
 from conset.errors import CalculusError, MalformedGraph, NotAStructure
+from conset.expr import evaluate
 from conset.fusion import (
     BottomStructure,
     MiddleStructure,
@@ -127,6 +128,12 @@ class TestBoundaryCases:
         ):
             with pytest.raises(TypeError, match="replace takes sets"):
                 call()
+
+    @pytest.mark.parametrize("src", ["x", "{x}"])
+    def test_evaluate_takes_only_sets_in_its_env(self, src):
+        # "x" would return the 5 itself, "{x}" fail inside make_set
+        with pytest.raises(TypeError, match=r"^env\['x'\] is int, not a set$"):
+            evaluate(src, {"x": 5})
 
     def test_bottom_record_with_too_few_markers(self):
         lying = BottomStructure(set=make_tuple([Z(0), Z(1)]), arity=2, markers=())

@@ -5,6 +5,9 @@ maps onto (compose, replace, make_tuple, middle, fuse, ...), so these tests
 pin the translation, not the primitives themselves.
 """
 
+import json
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from conset.expr import evaluate
 from conset.fusion import middle
 from conset.numerals import vn, zermelo
 from conset.tuples import diamond, kuratowski_pair, make_tuple, position_path
+from expr_programs import GOLDEN, outcome
 
 Z = zermelo
 
@@ -246,3 +250,48 @@ class TestBraceLiterals:
             hole, sub = data.draw(st.sampled_from(inner))
             program = f"let s = {_write(sub, blank)}; {_write(tree, blank, hole)}"
             assert evaluate(program) is h
+
+
+class TestRecordedPrograms:
+    """Seeded programs from `expr_programs.py`, well-formed and mutated, give
+    the results and messages recorded for them, offsets included."""
+
+    FORMS = [
+        r"^ExprSyntaxError: unexpected character .+ at offset \d+$",
+        r"^ExprSyntaxError: expected a name after 'let' at offset \d+, found ",
+        r"^ExprSyntaxError: '\w+' is reserved and cannot be bound \(offset \d+\)$",
+        r"^ExprSyntaxError: expected end of statement at offset \d+, found ",
+        r"^ExprSyntaxError: the program must end with an expression$",
+        r"^ExprSyntaxError: trailing input at offset \d+: ",
+        r"^ExprSyntaxError: a parenthesized expression must be a tuple of two or more",
+        r"^ExprSyntaxError: expected 'M' after ']' at offset \d+$",
+        r"^ExprSyntaxError: '\w+' cannot stand alone \(offset \d+\)$",
+        r"^ExprSyntaxError: expected an expression at offset \d+, found ",
+        r"^EvalError: unbound name '\w+' \(offset \d+\)$",
+        r"^EvalError: .*(marker|slot).* \(offset \d+\)$",
+    ]
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+    def test_outcomes_are_those_recorded(self, recorded):
+        changed = [(p, o, got) for p, o in recorded if (got := outcome(p)) != o]
+        assert changed == []
+
+    def test_the_record_reaches_every_message_form(self, recorded):
+        outcomes = [o for _, o in recorded]
+        assert [f for f in self.FORMS if not any(re.search(f, o) for o in outcomes)] == []
+        # and every token the grammar expects is somewhere found missing
+        wanted = {
+            "a name after 'let'", "'=' in let-binding", "'}' closing set display",
+            "')' closing tuple", "']' closing middle structure", "'(' after P",
+            "a coordinate", "')' closing position path", "'(' after fuse",
+            "',' between fuse arguments", "')' closing fuse", "'(' after kpair",
+            "',' between kpair arguments", "')' closing kpair", "'(' after close",
+            "')' closing close", "')' closing application", "')' closing replacement",
+            "')' closing tuple argument",
+        }
+        missing = re.compile(r"ExprSyntaxError: expected (.+?) at offset")
+        found = {m[1] for o in outcomes if (m := missing.match(o))}
+        assert wanted - found == set()

@@ -1,8 +1,9 @@
 """Deep inputs under the interpreter's default recursion limit.
 
-Every rebuild, the expression parser and evaluator, and the CLI walk their
-input with an explicit stack, so nesting thousands of levels deep needs no
-more than the default limit, and nothing raises it behind the caller's back.
+Every rebuild, the expression reader and the loop that runs its postfix
+code, and the CLI walk their input with an explicit stack, so nesting
+thousands of levels deep needs no more than the default limit, and nothing
+raises it behind the caller's back.
 """
 
 import io
@@ -35,8 +36,10 @@ from conset import (
 )
 from conset import expr
 from conset.cli import EXIT_OK, main
-from conset.kernel import _shortlex
+from conset.errors import ExprSyntaxError
+from conset.kernel import EMPTY, _shortlex
 from conset.numerals import vn, zermelo
+from conset.tuples import kuratowski_pair
 
 pytestmark = pytest.mark.usefixtures("default_recursion_limit")
 
@@ -197,6 +200,43 @@ class TestDeepPrograms:
     def test_parse_reads_each_outermost_group_once(self, parse_calls, src, groups):
         evaluate(src)
         assert parse_calls == groups
+
+    @pytest.mark.parametrize(
+        "open_, close_, step",
+        [
+            ("1(", ")", lambda h: make_set([h])),
+            ("1(0 -> ", ")", lambda h: make_set([h])),
+            ("{0, ", "}", lambda h: make_set([EMPTY, h])),
+            ("kpair(0, ", ")", lambda h: kuratowski_pair(EMPTY, h)),
+        ],
+        ids=["application", "replacement", "commas_in_braces", "kpair"],
+    )
+    def test_open_constructs_5000_deep(self, open_, close_, step):
+        # each level keeps one construct open while the next is read
+        h = EMPTY
+        for _ in range(5000):
+            h = step(h)
+        assert evaluate(open_ * 5000 + "0" + close_ * 5000) is h
+
+    def test_5000_juxtaposed_units(self):
+        assert evaluate("1 " * 5000 + "0") is zermelo(5000)
+
+    # tuples and middles cost time quadratic in their depth to evaluate, so
+    # these are read 2*10**4 deep and fail before anything is evaluated
+    @pytest.mark.parametrize(
+        "open_, close_, message",
+        [
+            ("(0, ", ")", "expected ')' closing tuple at offset 100000"),
+            ("[", "]M", "expected ']' closing middle structure at offset 59999"),
+            ("fuse(0, ", ")", "expected ')' closing fuse at offset 180000"),
+            ("close(", ")", "expected ')' closing close at offset 140000"),
+        ],
+    )
+    def test_a_missing_closer_20000_deep(self, open_, close_, message):
+        n = 20000
+        with pytest.raises(ExprSyntaxError) as caught:
+            evaluate(open_ * n + "0" + close_ * (n - 1))
+        assert str(caught.value) == message + ", found 'end of input'"
 
     def test_cli_eval_nested_braces_keeps_the_limit(self):
         out = io.StringIO()
