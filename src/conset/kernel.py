@@ -107,17 +107,22 @@ class SetHandle:
         pair; when one sequence is a prefix of the other, the longer sorts
         first, because "," precedes "}".  One pair is followed down per
         level, so the walk needs no stack and reads no text but stored ones.
+        Two distinct one-element sets differ in their elements, so runs of
+        them, as in two numeral chains, are followed down in a tight loop.
         """
         a, b = self, other
         while a is not b:
             if a._text is not None and b._text is not None:
                 return a._text < b._text
-            for x, y in zip(a.children, b.children):
+            ka, kb = a.children, b.children
+            while len(ka) == 1 and len(kb) == 1:
+                ka, kb = ka[0].children, kb[0].children
+            for x, y in zip(ka, kb):
                 if x is not y:
                     a, b = x, y
                     break
             else:
-                return len(a.children) > len(b.children)
+                return len(ka) > len(kb)
         return False
 
     # identity-based __eq__/__hash__ are correct because of interning
@@ -235,8 +240,8 @@ def make_set(elems: Iterable[SetHandle]) -> SetHandle:
     is looked up by itself, and any other number by the frozenset's hash,
     which finds the set when the handle stored there has exactly these
     elements (else by the frozenset itself).  A hit sorts nothing and reads
-    no text; only a miss sorts by _shortlex.  The new handle stores its text
-    length, and its text only when that is short.
+    no text; only a miss of two or more elements sorts by _shortlex.  The new
+    handle stores its text length, and its text only when that is short.
     """
     if (elems.__class__ is list or elems.__class__ is tuple) and len(elems) == 1:
         uniq = elems
@@ -259,8 +264,7 @@ def make_set(elems: Iterable[SetHandle]) -> SetHandle:
     (e,) = uniq
     h = _single.get(e)
     if h is None:
-        children = tuple(sorted(uniq, key=_shortlex))
-        h = _single.setdefault(e, SetHandle(next(_ids), children))
+        h = _single.setdefault(e, SetHandle(next(_ids), (e,)))
     return h
 
 
@@ -356,19 +360,40 @@ def fold(
     Nodes already in memo are leaves: their value is taken as is and they are
     not descended into.  Every computed value is stored in memo, and memo[h]
     is returned.  The walk keeps its own stack, so depth is not limited by
-    the interpreter's recursion limit.
+    the interpreter's recursion limit.  A run of one-element sets below a
+    node, such as a successor chain, is walked down in one loop and folded
+    back up in another, with one stack entry for the whole run, not one per
+    level.
     """
     if h not in memo:
-        stack = [(h, iter(h.children))]
+        # an entry is (node, children to visit, the run of singletons above node)
+        stack = [(h, iter(h.children), None)]
         while stack:
-            node, todo = stack[-1]
+            node, todo, above = stack[-1]
             for c in todo:
-                if c not in memo:
-                    stack.append((c, iter(c.children)))
-                    break
+                if c in memo:
+                    continue
+                kids = c.children
+                run = None
+                if len(kids) == 1 and kids[0] not in memo:
+                    # walk down the run to the first node that needs a frame
+                    # of its own: a singleton whose element is in memo, or
+                    # a node that is not a singleton
+                    run = [c]
+                    c = kids[0]
+                    kids = c.children
+                    while len(kids) == 1 and kids[0] not in memo:
+                        run.append(c)
+                        c = kids[0]
+                        kids = c.children
+                stack.append((c, iter(kids), run))
+                break
             else:
                 stack.pop()
-                memo[node] = f(node, [memo[c] for c in node.children])
+                v = memo[node] = f(node, [memo[c] for c in node.children])
+                if above is not None:
+                    for r in reversed(above):
+                        v = memo[r] = f(r, [v])
     return memo[h]
 
 

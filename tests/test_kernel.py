@@ -33,7 +33,7 @@ from conset import (
     to_text,
     union,
 )
-from conset.kernel import _shortlex
+from conset.kernel import _shortlex, fold
 from conset.numerals import vn, zermelo
 from conset.tuples import diamond
 
@@ -47,16 +47,16 @@ def handles(max_width: int = 3):
     )
 
 
+def _wrap(h, depth: int):
+    """h inside depth one-element sets."""
+    for _ in range(depth):
+        h = make_set([h])
+    return h
+
+
 def chains(max_depth: int = 1500):
     """A small random set wrapped in up to max_depth singletons."""
-
-    def wrap(base_and_depth):
-        h, depth = base_and_depth
-        for _ in range(depth):
-            h = make_set([h])
-        return h
-
-    return st.tuples(handles(), st.integers(0, max_depth)).map(wrap)
+    return st.tuples(handles(), st.integers(0, max_depth)).map(lambda hd: _wrap(*hd))
 
 
 def _ackermann(k: int):
@@ -131,9 +131,12 @@ class TestInternKey:
 
     def test_hit_reads_no_shortlex_and_miss_reads_each_element_once(self, shortlex_calls):
         others = [empty(), zermelo(1), vn(2), vn(3)]
+        del shortlex_calls[:]
+        # a one-element set has nothing to sort, whichever way it is given
         fresh = _fresh()
         newest = fresh.children[0]
-        del shortlex_calls[:]
+        assert make_set(frozenset([fresh])).children == (fresh,)
+        assert shortlex_calls == []
         made = make_set([fresh, *others])
         assert len(shortlex_calls) == 5
         del shortlex_calls[:]
@@ -354,6 +357,104 @@ class TestOrderFromStructure:
     @given(chains(40), chains(40))
     def test_drawn_chains(self, a, b):
         self.agree(a, b)
+
+    def test_equal_lengths_differing_100_or_more_levels_down(self, corpus200):
+        """Two runs of singletons of equal text length over different bases:
+        the texts agree for 100 levels or more, and one run may end first."""
+        pool = sorted(
+            set().union(*map(constituent_set, corpus200)),
+            key=lambda h: (h.size, h.text),
+        )[:60]
+        pairs = 0
+        for x in pool:
+            for y in pool:
+                if x is y or (x.size - y.size) % 2:
+                    continue
+                a, b = _wrap(x, 120), _wrap(y, 120 + (x.size - y.size) // 2)
+                assert a.size == b.size
+                self.agree(a, b)
+                pairs += 1
+        assert pairs > 500
+
+
+def _reference_fold(h, f, memo):
+    """fold by plain recursion: each child in element order, then the node."""
+    if h not in memo:
+        memo[h] = f(h, [_reference_fold(c, f, memo) for c in h.children])
+    return memo[h]
+
+
+class TestFold:
+    """fold calls f on the nodes and in the order the recursive fold does."""
+
+    @staticmethod
+    def both(h, start=()):
+        """The calls of f and the memo that fold and the reference leave."""
+        results = []
+        for walk in (fold, _reference_fold):
+            calls = []
+
+            def f(node, vals):
+                calls.append((node, vals))
+                return len(calls)
+
+            memo = dict(start)
+            top = walk(h, f, memo)
+            results.append((top, calls, memo))
+        return results
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "run ending in {}",
+            "runs ending in a wide node",
+            "runs shared by two branches",
+            "singleton root",
+            "vn(8)",
+            "wide root over runs",
+        ],
+    )
+    def test_same_calls_as_the_reference(self, shape):
+        wide = make_set([vn(3), diamond(), zermelo(2)])
+        shared = _wrap(diamond(), 20)
+        x = {
+            "run ending in {}": zermelo(60),
+            "runs ending in a wide node": make_set([_wrap(wide, 30), _wrap(vn(2), 7)]),
+            "runs shared by two branches": make_set(
+                [_wrap(shared, 3), make_set([_wrap(shared, 9), vn(2)]), shared]
+            ),
+            "singleton root": make_set([wide]),
+            "vn(8)": vn(8),
+            "wide root over runs": make_set([zermelo(k) for k in range(1, 12, 2)]),
+        }[shape]
+        got, want = self.both(x)
+        assert got == want
+        assert len(got[1]) == len(constituent_set(x))
+
+    @pytest.mark.parametrize("stop", [0, 1, 17, 39, 40])
+    def test_memo_key_mid_run(self, stop):
+        # replace(x, y, z) seeds the memo with {y: z}; the run stops there
+        x = make_set([_wrap(vn(3), 40), zermelo(5)])
+        y = _wrap(vn(3), stop)
+        got, want = self.both(x, {y: "z", empty(): 0})
+        assert got == want
+        assert got[2][y] == "z"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(chains(30), min_size=1, max_size=4), st.data())
+    def test_drawn_shapes(self, parts, data):
+        x = make_set(parts)
+        pool = constituents(x)
+        keys = data.draw(st.lists(st.sampled_from(pool), max_size=3), label="keys")
+        got, want = self.both(x, {k: -1 for k in keys})
+        assert got == want
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_replace_in_a_chain_10_to_the_5_deep(self):
+        n = 10**5
+        r = replace(zermelo(n), zermelo(7), vn(2))
+        assert r.rank == n - 7 + 2
+        assert r is _wrap(vn(2), n - 7)
 
 
 class TestElements:
