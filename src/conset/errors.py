@@ -6,7 +6,6 @@ __all__ = [
     "CalculusError",
     "MalformedText",
     "NotABottom",
-    "AmbiguousWitness",
     "NotUnique",
     "NoneFound",
     "EmptyHasNoMaximal",
@@ -35,14 +34,6 @@ class MalformedText(CalculusError):
 
 class NotABottom(CalculusError):
     """The claimed bottom part does not sit at the bottom of the set."""
-
-
-class AmbiguousWitness(CalculusError):
-    """More than one witness satisfies a top-removal equation.
-
-    Kept for compatibility and no longer raised: c(a) = b has at most one
-    witness a, so remove_top never finds several.
-    """
 
 
 class NotUnique(CalculusError):

@@ -31,6 +31,7 @@ from .kernel import (
     EMPTY,
     SetHandle,
     _below,
+    _require_set,
     _shortlex,
     constituent_set,
     fold,
@@ -87,6 +88,11 @@ class MiddleStructure(NamedTuple):
     offset: int = 0
 
 
+def _require_record(r: object) -> None:
+    if not isinstance(r, (TopStructure, BottomStructure, MiddleStructure)):
+        raise TypeError(f"expected a set or a structure record, got {type(r).__name__}")
+
+
 def _terminals(h: SetHandle) -> dict[int, SetHandle]:
     """The position markers that occur inside h, by slot number."""
     return {n: w for w in constituent_set(h) if (n := _slot(w)) is not None}
@@ -99,6 +105,7 @@ def _require_contiguous(ks: list[int], offset: int) -> None:
 
 def top_structure(h: SetHandle, offset: int = 0) -> TopStructure:
     """Validate h as a top structure (strict: raises NotAStructure)."""
+    _require_set(h)
     terminals = _terminals(h)
     if not terminals:
         raise NotAStructure("no position markers occur in the set")
@@ -123,6 +130,7 @@ def bottom_structure(h: SetHandle, offset: int = 0) -> BottomStructure:
     numbering must be contiguous.  (Every other constituent then sits below
     some marker automatically, which is the no-bypass condition.)
     """
+    _require_set(h)
     if h is EMPTY:
         raise NotAStructure("the empty set carries no markers")
     markers: dict[int, SetHandle] = {}
@@ -186,6 +194,7 @@ def _as(strict: Callable[[SetHandle, int], S], r: SetHandle | S) -> S:
     its own set: NotAStructure unless the record is what strict reads there."""
     if isinstance(r, SetHandle):
         return strict(r, 0)
+    _require_record(r)
     return _recheck(strict(r.set, r.offset), r)
 
 
@@ -201,6 +210,7 @@ def _as_middle(
     """_as(middle_structure, r) with the bottom reading that check parsed."""
     if isinstance(r, SetHandle):
         return _middle(r, 0)
+    _require_record(r)
     mv, bv = _middle(r.set, r.offset)
     return _recheck(mv, r), bv
 
@@ -252,6 +262,7 @@ def fuse_with_terminals(
         raise TerminalMismatch("fusion requires marker indices starting at 0")
     if len(terms) != tv.arity:
         raise ArityMismatch(f"{len(terms)} branches for {tv.arity} slots")
+    _require_set(*terms)
     return _fuse_formula(tv.set, list(terms))
 
 
@@ -334,6 +345,7 @@ def has_top_structure(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    _require_set(x)
     tv = _as(top_structure, t)
     if tv.offset != 0:
         raise NotAStructure("decomposition queries require offset-0 slots")
@@ -379,6 +391,7 @@ def has_bottom_structure(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    _require_set(x)
     bv = _as(bottom_structure, b)
     if bv.offset != 0:
         raise NotAStructure("decomposition queries require offset-0 markers")

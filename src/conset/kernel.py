@@ -226,6 +226,13 @@ _table: dict[int | frozenset[SetHandle], SetHandle] = {}
 _ids = itertools.count()
 
 
+def _require_set(*hs: object) -> None:
+    """Raise TypeError, naming the type, unless every h is a set handle."""
+    for h in hs:
+        if not isinstance(h, SetHandle):
+            raise TypeError(f"expected a set, got {type(h).__name__}")
+
+
 def _shortlex(h: SetHandle) -> tuple[int, SetHandle]:
     """Sort key of the canonical element order: text length, then text
     (SetHandle.__lt__, which only equal lengths reach)."""

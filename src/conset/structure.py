@@ -27,6 +27,7 @@ from .kernel import (
     EMPTY,
     SetHandle,
     _below,
+    _require_set,
     _shortlex,
     constituents,
     is_constituent,
@@ -80,6 +81,7 @@ def structure_of(h: SetHandle) -> StructureGraph:
     is vertex 0 and the top (h itself) is vertex n-1.  A membership pair e in c
     is a covering edge unless another element of c contains e strictly.
     """
+    _require_set(h)
     cons = constituents(h)
     index = {c: i for i, c in enumerate(cons)}
     edges: list[tuple[int, int]] = []
@@ -98,10 +100,17 @@ def structure_of(h: SetHandle) -> StructureGraph:
     )
 
 
+def _require_graph(*gs: object) -> None:
+    for g in gs:
+        if not isinstance(g, StructureGraph):
+            raise TypeError(f"expected a StructureGraph, got {type(g).__name__}")
+
+
 def _diagram(g: StructureGraph) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """Lower covers, upper covers and longest-path level above the bottom of
     each vertex, read in one pass that raises MalformedGraph unless g is a
     well-formed covering diagram."""
+    _require_graph(g)
     n = g.n
     if n == 0:
         raise MalformedGraph("graph has no vertices")
@@ -213,8 +222,8 @@ def _canonical(g: StructureGraph) -> tuple[tuple, list[int]]:
       current path leaves the first path into the orbit of an explored child,
       the rest of that child's subtree is skipped.
     """
-    n = g.n
     lowers, uppers, level = _diagram(g)
+    n = g.n
     for adj in lowers + uppers:
         adj.sort()  # so that twins have equal lists
     base = [(level[v], len(lowers[v]), len(uppers[v])) for v in range(n)]
@@ -308,6 +317,7 @@ def canonical_cert(g: StructureGraph) -> bytes:
 
 def isomorphic(g1: StructureGraph, g2: StructureGraph) -> IsoWitness | None:
     """A validated vertex bijection when the graphs are isomorphic, else None."""
+    _require_graph(g1, g2)
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         check_graph(g1)
         check_graph(g2)
@@ -366,6 +376,7 @@ def simplest_set(g: StructureGraph) -> SetHandle:
 
 def graph_sum(g1: StructureGraph, g2: StructureGraph) -> StructureGraph:
     """Stack g1 on g2, identifying g1's bottom with g2's top."""
+    _require_graph(g1, g2)
     if g1.n == 1:
         return g2
     if g2.n == 1:
@@ -389,6 +400,7 @@ def graph_sum(g1: StructureGraph, g2: StructureGraph) -> StructureGraph:
 
 def graph_product(g1: StructureGraph, g2: StructureGraph) -> StructureGraph:
     """Replace every edge of g1 with a copy of g2 joined at the endpoints."""
+    _require_graph(g1, g2)
     if g2.n == 1:
         return POINT  # every edge of g1 contracts away
     if g1.n == 1:
@@ -444,6 +456,7 @@ def to_dot(g: StructureGraph) -> str:
 
 def to_json(g: StructureGraph) -> str:
     """Stable JSON encoding; graph_from_json inverts it."""
+    _require_graph(g)
     vertices = []
     texts: dict[SetHandle, str] = {}
     for v in range(g.n):

@@ -5,6 +5,7 @@ everything else is checked against the library functions the subcommands
 delegate to, plus exact exit codes.
 """
 
+import argparse
 import io
 import os
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import conset
-from conset import compose, constituents, make_set
+from conset import cli, compose, constituents, make_set
 from conset.cli import EXIT_DOMAIN, EXIT_FALSE, EXIT_OK, EXIT_SYNTAX, main
 from conset.corpus import generate
 from conset.expr import evaluate
@@ -347,3 +348,75 @@ class TestInProcessMatchesSubprocess:
             ), argv
             codes.append(code)
         assert codes == [EXIT_OK, EXIT_DOMAIN, EXIT_OK, EXIT_OK, 2, EXIT_OK, EXIT_OK]
+
+
+AUTO = ("auto", "zermelo", "vn")
+# Every command and nested command in order, with its arguments in order:
+# subcommands as (dest, required, names), positionals as (dest, metavar,
+# nargs), options as (option strings, dest, default, choices, required).
+# Read from the parser rather than its help text, whose layout varies with
+# the Python version.
+SURFACE = {
+    "": [("command", True, ("eval", "canon", "card", "constituents", "instances",
+                            "structure", "iso", "tuple", "num", "fuse", "close", "corpus"))],
+    "eval": [("expr", None, "?")],
+    "canon": [("text", None, "?")],
+    "card": [("expr", None, "?")],
+    "constituents": [("expr", None, "?")],
+    "instances": [("expr", None, "?")],
+    "structure": [
+        ("expr", None, "?"),
+        (("--format",), "format", "dot", ("dot", "json", "text"), False),
+    ],
+    "iso": [("left", None, None), ("right", None, None)],
+    "tuple": [("tuple_command", True, ("get", "has"))],
+    "tuple get": [("expr", None, None), ("path", None, None)],
+    "tuple has": [("expr", None, None), ("path", None, None)],
+    "num": [("num_command", True, ("add", "mul", "encode", "decode"))],
+    "num add": [
+        ("left", None, None),
+        ("right", None, None),
+        (("--scheme",), "scheme", "auto", AUTO, False),
+    ],
+    "num mul": [("left", None, None), ("right", None, None)],
+    "num encode": [
+        ("value", None, None),
+        (("--scheme",), "scheme", None, ("zermelo", "vn"), True),
+    ],
+    "num decode": [("expr", None, "?"), (("--scheme",), "scheme", "auto", AUTO, False)],
+    "fuse": [
+        ("top", None, None),
+        ("bottom", None, None),
+        (("--check-top",), "check_top", False, None, False),
+        (("--check-bottom",), "check_bottom", False, None, False),
+        (("--budget",), "budget", 100_000, None, False),
+    ],
+    "close": [("expr", None, "?")],
+    "corpus": [
+        (("--seed",), "seed", 0, None, False),
+        (("--count",), "count", 10, None, False),
+        (("--max-depth",), "max_depth", 4, None, False),
+    ],
+}
+
+
+def _surface(parser, path=(), rows=None):
+    """SURFACE as read from parser and its subparsers, depth first."""
+    rows = {} if rows is None else rows
+    row = rows.setdefault(" ".join(path), [])
+    for a in parser._actions:
+        if isinstance(a, argparse._HelpAction):
+            continue
+        if isinstance(a, argparse._SubParsersAction):
+            row.append((a.dest, a.required, tuple(a.choices)))
+            for name, sub in a.choices.items():
+                _surface(sub, (*path, name), rows)
+        elif a.option_strings:
+            row.append((tuple(a.option_strings), a.dest, a.default, a.choices, a.required))
+        else:
+            row.append((a.dest, a.metavar, a.nargs))
+    return rows
+
+
+def test_command_line_surface():
+    assert list(_surface(cli._parser()).items()) == list(SURFACE.items())

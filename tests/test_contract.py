@@ -3,7 +3,8 @@
 Hand-built diagrams and fusion records are validated where they enter, so a
 malformed one raises a CalculusError (MalformedGraph, NotAStructure), never a
 bare IndexError, KeyError, AttributeError or AssertionError from deeper
-down; a budget below 1 is a bad argument value (ValueError).  A record is
+down; a budget below 1 is a bad argument value (ValueError), and an argument
+of the wrong Python type a TypeError naming its type.  A record is
 re-checked against its own set once, so passing it costs the same scans as
 passing the set.
 """
@@ -21,6 +22,7 @@ from conset.fusion import (
     BottomStructure,
     MiddleStructure,
     TopStructure,
+    bottom_structure,
     bottom_terminal,
     close,
     fuse,
@@ -31,6 +33,8 @@ from conset.fusion import (
     match_terminals,
     middle,
     middle_permutation,
+    middle_structure,
+    top_structure,
     validate_bottom,
     validate_middle,
     validate_top,
@@ -44,10 +48,13 @@ from conset.structure import (
     chain_graph,
     check_graph,
     graph_from_json,
+    graph_product,
+    graph_sum,
     isomorphic,
     simplest_set,
     structure_of,
     to_dot,
+    to_json,
 )
 from conset.tuples import diamond, kuratowski_pair, kuratowski_top, make_tuple, position
 
@@ -60,6 +67,46 @@ FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
 def branch(n, x):
     """Bottom entry n carrying branch x: zermelo(n) ∘ diamond ∘ x."""
     return compose_all([Z(n), diamond(), x])
+
+
+TOP = make_set([position(0)])
+BOTTOM = make_tuple([EMPTY])
+# (op, args): every fusion entry point that takes a set or a structure record,
+# every structure entry point that takes a diagram, and structure_of, each
+# given an int where one of those belongs
+WRONG_TYPES = [
+    (top_structure, (5,)),
+    (bottom_structure, (5,)),
+    (middle_structure, (5,)),
+    (validate_top, (5,)),
+    (validate_bottom, (5,)),
+    (validate_middle, (5,)),
+    (bottom_terminal, (5, 0)),
+    (match_terminals, (5, BOTTOM)),
+    (match_terminals, (TOP, 5)),
+    (fuse, (5, 5)),
+    (fuse, (TopStructure(5, 1), BOTTOM)),
+    (fuse_with_terminals, (5, [EMPTY])),
+    (fuse_with_terminals, (TOP, [5])),
+    (middle, ([5],)),
+    (fuse_middle, (5, middle([EMPTY]))),
+    (fuse_middle, (middle([EMPTY]), 5)),
+    (close, (5,)),
+    (has_top_structure, (5, EMPTY)),
+    (has_top_structure, (TOP, 5)),
+    (has_bottom_structure, (EMPTY, 5)),
+    (has_bottom_structure, (5, BOTTOM)),
+    (structure_of, (5,)),
+    (check_graph, (5,)),
+    (canonical_cert, (5,)),
+    (isomorphic, (5, POINT)),
+    (isomorphic, (POINT, 5)),
+    (simplest_set, (5,)),
+    (graph_sum, (5, POINT)),
+    (graph_product, (POINT, 5)),
+    (to_dot, (5,)),
+    (to_json, (5,)),
+]
 
 
 class TestBoundaryCases:
@@ -134,6 +181,12 @@ class TestBoundaryCases:
         # "x" would return the 5 itself, "{x}" fail inside make_set
         with pytest.raises(TypeError, match=r"^env\['x'\] is int, not a set$"):
             evaluate(src, {"x": 5})
+
+    @pytest.mark.parametrize("op, args", WRONG_TYPES, ids=[op.__name__ for op, _ in WRONG_TYPES])
+    def test_wrong_python_type_is_a_type_error(self, op, args):
+        # each of these raised AttributeError from deep inside before
+        with pytest.raises(TypeError, match=r"\bint\b"):
+            op(*args)
 
     def test_bottom_record_with_too_few_markers(self):
         lying = BottomStructure(set=make_tuple([Z(0), Z(1)]), arity=2, markers=())

@@ -3,7 +3,7 @@
 import conset
 
 PUBLIC = frozenset({
-    "AmbiguousWitness", "ArityMismatch", "BottomStructure", "CalculusError",
+    "ArityMismatch", "BottomStructure", "CalculusError",
     "DEFAULT_BUDGET", "EMPTY", "EmptyHasNoMaximal", "EvalError",
     "ExprSyntaxError", "IndexOutOfRange", "IsoWitness", "MalformedGraph",
     "MalformedText", "MiddleStructure", "NoSuchPosition", "NoneFound", "NotABottom",
@@ -32,7 +32,7 @@ PUBLIC = frozenset({
 
 
 def test_public_names_are_pinned():
-    assert len(conset.__all__) == len(PUBLIC) == 108
+    assert len(conset.__all__) == len(PUBLIC) == 107
     assert set(conset.__all__) == PUBLIC
 
 
