@@ -376,7 +376,8 @@ def simplest_set(g: StructureGraph) -> SetHandle:
 
 def graph_sum(g1: StructureGraph, g2: StructureGraph) -> StructureGraph:
     """Stack g1 on g2, identifying g1's bottom with g2's top."""
-    _require_graph(g1, g2)
+    _diagram(g1)
+    _diagram(g2)
     if g1.n == 1:
         return g2
     if g2.n == 1:
@@ -400,7 +401,8 @@ def graph_sum(g1: StructureGraph, g2: StructureGraph) -> StructureGraph:
 
 def graph_product(g1: StructureGraph, g2: StructureGraph) -> StructureGraph:
     """Replace every edge of g1 with a copy of g2 joined at the endpoints."""
-    _require_graph(g1, g2)
+    _diagram(g1)
+    _diagram(g2)
     if g2.n == 1:
         return POINT  # every edge of g1 contracts away
     if g1.n == 1:
@@ -475,7 +477,10 @@ def to_json(g: StructureGraph) -> str:
 
 def graph_from_json(text: str) -> StructureGraph:
     """The diagram to_json wrote; MalformedGraph when the JSON has another shape."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise MalformedGraph(f"not JSON: {e}") from e
     if not isinstance(obj, dict) or not {"vertices", "edges", "top", "bottom"} <= obj.keys():
         raise MalformedGraph("expected an object with vertices, edges, top and bottom")
     vertices, edges = obj["vertices"], obj["edges"]

@@ -1,46 +1,56 @@
-"""Independent oracles for deriving expected test values.
+"""Oracles for deriving expected test values without trusting the library.
 
-Everything here deliberately avoids the library's own algorithms:
-replacement is plain text substitution, constituency is substring search,
-covering edges come from a cubic-time transitive reduction, isomorphism
-from a backtracking search over vertex bijections, canonical forms from an
-unpruned individualization search, and realization from a
-collision-intolerant bottom-up rebuild.
+Every pure-text answer comes from `perfbench/oracle.py`, the benchmark's
+own checker, which works on brace text and imports nothing from conset:
+replacement is text substitution, constituents are the brace groups of a
+text, covering edges are each set's maximal elements, and isomorphism is a
+backtracking search over level- and degree-matched vertex bijections.  It
+is loaded by file path, so the benchmark's runner stays off `sys.path`.
+
+What stays here adapts handles to that module (`.text` in, `parse` out)
+and the searches only tests use: simultaneous substitution, fusion's
+exhaustive decompositions, an unpruned individualization search for
+canonical forms, vertex relabelling and a collision-intolerant
+realization.
 """
 from __future__ import annotations
 
+import importlib.util
 import itertools
+from pathlib import Path
 
-from conset import SetHandle, constituents, make_set, parse
+from conset import SetHandle, make_set, parse
 from conset.structure import StructureGraph
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_oracle", Path(__file__).parents[1] / "perfbench" / "oracle.py"
+)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 
 def replace_by_text(x: SetHandle, y: SetHandle, z: SetHandle) -> SetHandle:
-    """Replacement as left-to-right non-overlapping text substitution.
-
-    Distinct occurrences of one canonical text can never overlap (a proper
-    prefix of a balanced brace group is unbalanced), so str.replace hits
-    exactly the occurrences, in one pass over the original text.
-    """
-    return parse(x.text.replace(y.text, z.text))
+    """Replacement as left-to-right non-overlapping text substitution."""
+    return parse(oracle.replace(x.text, y.text, z.text))
 
 
 def has_bottom_by_text(b: SetHandle, a: SetHandle) -> bool:
-    """The defining equation b(a -> {})(a) = b, by text substitution.
-
-    A canonical nonempty set never renders as "{}", so that text marks
-    exactly the occurrences of the empty set.
-    """
-    lifted = parse(b.text.replace(a.text, "{}"))
-    return parse(lifted.text.replace("{}", a.text)) is b
+    """The defining equation b(a -> {})(a) = b, by text substitution."""
+    return oracle.has_bottom(b.text, a.text)
 
 
 def top_witnesses_by_text(c: SetHandle, b: SetHandle) -> list[SetHandle]:
-    """Every constituent a of b with c(a) = b, by text substitution.
+    """Every constituent a of b with c(a) = b, by text substitution."""
+    return [
+        parse(a)
+        for a in oracle.constituents(b.text)
+        if oracle.compose(c.text, a) == b.text
+    ]
 
-    As in has_bottom_by_text, "{}" marks exactly the empty sets of c.
-    """
-    return [a for a in constituents(b) if parse(c.text.replace("{}", a.text)) is b]
+
+def branch(n: int, t: SetHandle) -> SetHandle:
+    """Bottom entry n carrying branch t: zermelo(n) ∘ diamond ∘ t."""
+    return parse(oracle.branch(n, t.text))
 
 
 def simultaneous_replace_by_text(text: str, table: dict[str, str]) -> str:
@@ -66,12 +76,6 @@ def simultaneous_replace_by_text(text: str, table: dict[str, str]) -> str:
     return "".join(out)
 
 
-def _diamond_text(x: str) -> str:
-    """Text of the diamond {{{x}},{x,{x}}} over the set with text x; shortlex
-    keeps its elements, and the elements of {x,{x}}, in that order."""
-    return "{{{" + x + "}},{" + x + ",{" + x + "}}}"
-
-
 def position_indices_by_text(text: str) -> list[int]:
     """Every n whose position-marker text occurs in text.
 
@@ -83,7 +87,7 @@ def position_indices_by_text(text: str) -> list[int]:
     found = []
     n = 0
     while True:
-        marker = _diamond_text("{" * (n + 1) + "}" * (n + 1))
+        marker = oracle.position(n)
         if len(marker) > len(text):
             return found
         if marker in text:
@@ -100,17 +104,12 @@ def has_top_exhaustive(t: SetHandle, x: SetHandle) -> bool:
     wrapped branches form a bottom structure exactly when no wrapped text
     occurs inside another.
     """
-    slots = [
-        _diamond_text("{" * (n + 1) + "}" * (n + 1))
-        for n in position_indices_by_text(t.text)
-    ]
-    for assign in itertools.product(constituents_brute(x), repeat=len(slots)):
-        table = {p: a.text for p, a in zip(slots, assign)}
-        if parse(simultaneous_replace_by_text(t.text, table)) is not x:
+    slots = [oracle.position(n) for n in position_indices_by_text(t.text)]
+    for assign in itertools.product(oracle.constituents(x.text), repeat=len(slots)):
+        table = dict(zip(slots, assign))
+        if oracle.canon(simultaneous_replace_by_text(t.text, table)) != x.text:
             continue
-        wrapped = [
-            "{" * n + _diamond_text(a.text) + "}" * n for n, a in enumerate(assign)
-        ]
+        wrapped = [oracle.branch(n, a) for n, a in enumerate(assign)]
         if not any(u != w and u in w for u in wrapped for w in wrapped):
             return True
     return False
@@ -126,140 +125,52 @@ def has_bottom_exhaustive(x: SetHandle, terms: list[SetHandle]) -> bool | None:
     A preimage is kept when every constituent's text holds a slot text or
     lies inside one; x's preimages must also hold every slot.
     """
-    slots = [_diamond_text("{" * (n + 1) + "}" * (n + 1)) for n in range(len(terms))]
+    slots = [oracle.position(n) for n in range(len(terms))]
     table = dict(zip(slots, (t.text for t in terms)))
 
-    def valid(p: SetHandle) -> bool:
+    def valid(p: str) -> bool:
         return all(
-            any(s in c.text or c.text in s for s in slots) for c in constituents_brute(p)
+            any(s in c or c in s for s in slots) for c in oracle.constituents(p)
         )
 
-    pre: dict[SetHandle, set[SetHandle]] = {}
-    for w in sorted(constituents_brute(x), key=lambda c: len(c.text)):
-        found = {parse(s) for s, t in zip(slots, terms) if t is w}
-        if w.text not in slots and any(w.text in s for s in slots):
+    pre: dict[str, set[str]] = {}
+    for w in sorted(oracle.constituents(x.text), key=len):
+        found = {s for s, t in zip(slots, terms) if t.text == w}
+        if w not in slots and any(w in s for s in slots):
             found.add(w)
-        pool = sorted({p for c in w.children for p in pre[c]}, key=lambda p: p.text)
+        pool = sorted({p for c in oracle.elements(w) for p in pre[c]})
         if len(pool) > 10:
             return None
         for k in range(1, len(pool) + 1):
             for subset in itertools.combinations(pool, k):
-                p = parse("{" + ",".join(q.text for q in subset) + "}")
-                if parse(simultaneous_replace_by_text(p.text, table)) is w and valid(p):
+                p = oracle.make(subset)
+                if oracle.canon(simultaneous_replace_by_text(p, table)) == w and valid(p):
                     found.add(p)
         pre[w] = found
-    return any(all(s in p.text for s in slots) for p in pre[x])
+    return any(all(s in p for s in slots) for p in pre[x.text])
 
 
 def is_constituent_by_text(x: SetHandle, y: SetHandle) -> bool:
-    """x lies inside y (reflexively), by substring search.
-
-    A balanced canonical text occurs inside another canonical text only
-    where it is the text of a subterm: the brace that opens it is matched by
-    the brace that closes it.
-    """
-    return x.text in y.text
+    """x lies inside y (reflexively): x's text is a brace group of y's."""
+    return oracle.is_constituent(x.text, y.text)
 
 
 def maximal_by_text(hs: list[SetHandle]) -> list[SetHandle]:
     """Members lying strictly inside no other member, by pairwise search."""
-    texts = [h.text for h in hs]  # rendered once, not once per pair
-    return [
-        h
-        for h, t in zip(hs, texts)
-        if not any(o is not h and t in u for o, u in zip(hs, texts))
-    ]
-
-
-def _strictly_below(u: SetHandle, w: SetHandle) -> bool:
-    return u is not w and is_constituent_by_text(u, w)
-
-
-def hasse_edges_brute(h: SetHandle) -> tuple[tuple[int, int], ...]:
-    """Covering pairs of the constituency order, by cubic-time reduction."""
-    cons = sorted(constituents_brute(h), key=lambda c: (len(c.text), c.text))
-    index = {c: i for i, c in enumerate(cons)}
-    edges = []
-    for u in cons:
-        for w in cons:
-            if not _strictly_below(u, w):
-                continue
-            if any(
-                _strictly_below(u, v) and _strictly_below(v, w) for v in cons
-            ):
-                continue
-            edges.append((index[u], index[w]))
-    return tuple(sorted(edges))
+    return [parse(t) for t in oracle.maximal(h.text for h in hs)]
 
 
 def membership_edges(h: SetHandle) -> tuple[tuple[int, int], ...]:
-    """All (element, parent) pairs over the constituents of h."""
-    cons = constituents(h)
+    """All (element, parent) pairs over the constituents of h, numbered in
+    shortlex order."""
+    cons = sorted(oracle.constituents(h.text), key=oracle.shortlex)
     index = {c: i for i, c in enumerate(cons)}
-    edges = set()
-    for w in cons:
-        for u in w.children:
-            edges.add((index[u], index[w]))
-    return tuple(sorted(edges))
+    return tuple(sorted((index[u], index[w]) for w in cons for u in oracle.elements(w)))
 
 
 def constituents_brute(h: SetHandle) -> frozenset[SetHandle]:
-    """Constituent set by direct recursive union (not the kernel's walk)."""
-    acc = frozenset([h])
-    for c in h.children:
-        acc |= constituents_brute(c)
-    return acc
-
-
-def brute_iso(g1: StructureGraph, g2: StructureGraph) -> bool:
-    """Digraph isomorphism by backtracking over vertex bijections."""
-    n = g1.n
-    if n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    adj1 = {(a, b) for a, b in g1.edges}
-    adj2 = {(a, b) for a, b in g2.edges}
-    outs1 = [sorted(b for a, b in adj1 if a == v) for v in range(n)]
-    ins1 = [sorted(a for a, b in adj1 if b == v) for v in range(n)]
-    deg2 = [
-        (
-            sum(1 for a, _ in adj2 if a == v),
-            sum(1 for _, b in adj2 if b == v),
-        )
-        for v in range(n)
-    ]
-    deg1 = [(len(outs1[v]), len(ins1[v])) for v in range(n)]
-    if sorted(deg1) != sorted(deg2):
-        return False
-
-    mapping: list[int | None] = [None] * n
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or deg1[v] != deg2[w]:
-                continue
-            ok = True
-            for u in range(v):
-                mu = mapping[u]
-                if ((u, v) in adj1) != ((mu, w) in adj2):
-                    ok = False
-                    break
-                if ((v, u) in adj1) != ((w, mu) in adj2):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(v + 1):
-                return True
-            mapping[v] = None
-            used[w] = False
-        return False
-
-    return extend(0)
+    """Constituent set read off the brace groups of h's text."""
+    return frozenset(map(parse, oracle.constituents(h.text)))
 
 
 def canonical_form_exhaustive(g: StructureGraph) -> tuple:
@@ -277,16 +188,7 @@ def canonical_form_exhaustive(g: StructureGraph) -> tuple:
     for a, b in g.edges:
         uppers[a].append(b)
         lowers[b].append(a)
-    level = [0] * n
-    pending = [len(lowers[v]) for v in range(n)]
-    ready = [v for v in range(n) if not pending[v]]
-    while ready:
-        v = ready.pop()
-        for u in uppers[v]:
-            level[u] = max(level[u], level[v] + 1)
-            pending[u] -= 1
-            if not pending[u]:
-                ready.append(u)
+    level = oracle.levels(n, g.edges)
 
     def dense(keys: list) -> list[int]:
         ranks = {s: i for i, s in enumerate(sorted(set(keys)))}

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 import _oracles as oracles
+from _oracles import oracle
 import conset.algebra
 from conset import (
     EmptyHasNoMaximal,
@@ -25,6 +26,7 @@ from conset import (
     max_with_bottom_unique,
     maximal_constituents,
     maximal_elements,
+    parse,
     remove_bottom,
     remove_top,
     replace,
@@ -170,15 +172,12 @@ def _check_bottoms(x, a):
     """has_bottom on every constituent of x, and max_with_bottom(x, a),
     against the text oracle."""
     found = []
-    for c in constituents(x):
-        expected = oracles.has_bottom_by_text(c, a)
-        assert has_bottom(c, a) == expected
+    for c in oracle.constituents(x.text):
+        expected = oracle.has_bottom(c, a.text)
+        assert has_bottom(parse(c), a) == expected
         if expected:
             found.append(c)
-    maximal = [
-        c for c in found if not any(o is not c and is_constituent(c, o) for o in found)
-    ]
-    assert max_with_bottom(x, a) is make_set(maximal)
+    assert max_with_bottom(x, a) is parse(oracle.make(oracle.maximal(found)))
 
 
 class TestBottomOracle:
@@ -243,11 +242,10 @@ class TestTopOracle:
 
     def test_with_top(self, corpus200):
         for a in corpus200[:25]:
-            for b in constituents(a)[::3] + [empty(), position(2)]:
-                expected = [
-                    c for c in constituents(a) if oracles.top_witnesses_by_text(b, c)
-                ]
-                assert with_top(a, b) is make_set(expected)
+            cons = sorted(oracle.constituents(a.text), key=oracle.shortlex)
+            for b in cons[::3] + [oracle.EMPTY, oracle.position(2)]:
+                expected = [c for c in cons if oracle.is_top(b, c)]
+                assert with_top(a, parse(b)) is parse(oracle.make(expected))
 
 
 class TestRemoveBottom:

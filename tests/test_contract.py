@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conset import fusion
-from conset.algebra import compose, compose_all, replace
+from conset.algebra import compose, replace
 from conset.cli import main
 from conset.errors import CalculusError, MalformedGraph, NotAStructure
 from conset.expr import evaluate
@@ -58,15 +58,12 @@ from conset.structure import (
 )
 from conset.tuples import diamond, kuratowski_pair, kuratowski_top, make_tuple, position
 
+from _oracles import branch
+
 pytestmark = pytest.mark.usefixtures("default_recursion_limit")
 
 Z = zermelo
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
-
-
-def branch(n, x):
-    """Bottom entry n carrying branch x: zermelo(n) ∘ diamond ∘ x."""
-    return compose_all([Z(n), diamond(), x])
 
 
 TOP = make_set([position(0)])
@@ -131,6 +128,8 @@ class TestBoundaryCases:
     @pytest.mark.parametrize(
         "text",
         [
+            "[",  # not JSON at all
+            "",
             '{"vertices": 3}',
             "[]",
             '{"vertices": [{"id": 0}], "edges": [], "top": 0}',
@@ -272,6 +271,10 @@ def test_hand_built_graphs_raise_only_malformed_graph(g, h):
             lambda g: isomorphic(h, g),
             lambda g: isomorphic(g, POINT),
             lambda g: isomorphic(POINT, g),
+            lambda g: graph_sum(g, h),
+            lambda g: graph_sum(h, g),
+            lambda g: graph_product(g, h),
+            lambda g: graph_product(h, g),
         ):
             with pytest.raises(MalformedGraph):
                 op(g)

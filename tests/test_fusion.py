@@ -63,6 +63,7 @@ from conset.tuples import (
 )
 
 from _oracles import (
+    branch,
     constituents_brute,
     has_bottom_exhaustive,
     has_top_exhaustive,
@@ -73,11 +74,6 @@ from _oracles import (
 
 D = diamond()
 Z = zermelo
-
-
-def branch(n, t):
-    """Bottom entry n carrying branch t: zermelo(n) ∘ diamond ∘ t."""
-    return compose_all([Z(n), D, t])
 
 
 def sample_bottom(x, y, z):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+from _oracles import oracle
 import conset
 from conset import (
     MalformedText,
@@ -558,8 +559,7 @@ class TestInsideAgainstText:
         rng = random.Random(6)
         for _ in range(300):
             a, b = rng.sample(pool, 2)
-            common = oracles.constituents_brute(a) & oracles.constituents_brute(b)
-            assert lcc_set(a, b) is make_set(oracles.maximal_by_text(list(common)))
+            assert lcc_set(a, b) is parse(oracle.lcc_set(a.text, b.text))
 
 
 class TestInstanceCount:

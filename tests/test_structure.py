@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import _oracles as oracles
+from _oracles import oracle
 import conset
 import conset.structure as structure
 from conset import (
@@ -144,7 +145,7 @@ class TestStructureOf:
 
     def test_matches_transitive_reduction_oracle(self, corpus200):
         for x in corpus200:
-            assert structure_of(x).edges == oracles.hasse_edges_brute(x)
+            assert list(structure_of(x).edges) == oracle.diagram(x.text)[1]
 
     def test_tags_are_constituents_bottom_up(self, corpus200):
         for x in corpus200[:40]:
@@ -207,11 +208,12 @@ class TestCanonicalCert:
         reps = [members[0] for members in groups.values()]
         # equal certificate must mean isomorphic
         for members in groups.values():
+            rep = members[0]
             for g in members[1:]:
-                assert oracles.brute_iso(members[0], g)
+                assert oracle.isomorphic(rep.n, rep.edges, g.n, g.edges)
         # distinct certificates must mean non-isomorphic
         for g1, g2 in itertools.combinations(reps[:40], 2):
-            assert not oracles.brute_iso(g1, g2)
+            assert not oracle.isomorphic(g1.n, g1.edges, g2.n, g2.edges)
 
 
 class TestSymmetricShapes:
@@ -224,7 +226,7 @@ class TestSymmetricShapes:
     @pytest.mark.parametrize("first,second", SHAPE_PAIRS)
     def test_agrees_with_brute_force(self, first, second):
         g, h = SHAPES[first], _relabelled(second)
-        iso = oracles.brute_iso(g, h)
+        iso = oracle.isomorphic(g.n, g.edges, h.n, h.edges)
         assert (canonical_cert(g) == canonical_cert(h)) == iso
         w = isomorphic(g, h)
         assert (w is not None) == iso
