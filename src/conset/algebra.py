@@ -15,6 +15,7 @@ from .kernel import (
     EMPTY,
     SetHandle,
     _below,
+    _require_set,
     constituent_set,
     fold,
     is_constituent,
@@ -89,6 +90,7 @@ def _bottoms(x: SetHandle, a: SetHandle) -> dict[SetHandle, bool]:
 
 def has_bottom(b: SetHandle, a: SetHandle) -> bool:
     """True when a sits at the bottom of b: b(a -> {})(a) = b."""
+    _require_set(b, a)
     return is_constituent(a, b) and _bottoms(b, a)[b]
 
 
@@ -111,6 +113,7 @@ def _under_top(c: SetHandle, b: SetHandle) -> SetHandle | None:
 
 def is_top(c: SetHandle, b: SetHandle) -> bool:
     """True when c sits at the top of b: some a has c(a) = b."""
+    _require_set(c, b)
     return _under_top(c, b) is not None
 
 
@@ -123,6 +126,7 @@ def remove_bottom(b: SetHandle, a: SetHandle) -> SetHandle:
 
 def remove_top(c: SetHandle, b: SetHandle) -> SetHandle:
     """The unique a with c(a) = b when one exists, otherwise b itself."""
+    _require_set(c, b)
     a = _under_top(c, b)
     return b if a is None else a
 
@@ -130,6 +134,12 @@ def remove_top(c: SetHandle, b: SetHandle) -> SetHandle:
 def maximal_elements(handles: Iterable[SetHandle]) -> list[SetHandle]:
     """Members of the collection that lie strictly inside no other member."""
     hs = list(dict.fromkeys(handles))
+    _require_set(*hs)
+    return _maximal(hs)
+
+
+def _maximal(hs: list[SetHandle]) -> list[SetHandle]:
+    """maximal_elements of distinct handles, not checked to be sets."""
     if len(hs) < 2:
         return hs
     below = _below(hs)
@@ -145,9 +155,10 @@ def _only(found: list[SetHandle], what: str) -> SetHandle:
 
 def _maximal_proper(s: SetHandle) -> list[SetHandle]:
     """Maximal proper constituents of s; each one is an element of s."""
+    _require_set(s)
     if s is EMPTY:
         raise EmptyHasNoMaximal("the empty set has no proper constituents")
-    return maximal_elements(s.children)
+    return _maximal(list(s.children))
 
 
 def maximal_constituents(s: SetHandle) -> SetHandle:
@@ -160,21 +171,23 @@ def unique_maximum(s: SetHandle) -> SetHandle:
     return _only(_maximal_proper(s), f"maximal constituents in {s!r}")
 
 
-def _common(a: SetHandle, b: SetHandle) -> frozenset[SetHandle]:
-    return constituent_set(a) & constituent_set(b)
+def _common(a: SetHandle, b: SetHandle) -> list[SetHandle]:
+    _require_set(a, b)
+    return list(constituent_set(a) & constituent_set(b))
 
 
 def lcc_set(a: SetHandle, b: SetHandle) -> SetHandle:
     """Set of the largest common constituents of a and b."""
-    return make_set(maximal_elements(_common(a, b)))
+    return make_set(_maximal(_common(a, b)))
 
 
 def lcc(a: SetHandle, b: SetHandle) -> SetHandle:
     """The largest common constituent when it is unique."""
-    return _only(maximal_elements(_common(a, b)), "largest common constituents")
+    return _only(_maximal(_common(a, b)), "largest common constituents")
 
 
 def _with_bottom(a: SetHandle, b: SetHandle) -> list[SetHandle]:
+    _require_set(a, b)
     if not is_constituent(b, a):
         return []
     return [c for c, held in _bottoms(a, b).items() if held]
@@ -182,17 +195,18 @@ def _with_bottom(a: SetHandle, b: SetHandle) -> list[SetHandle]:
 
 def max_with_bottom(a: SetHandle, b: SetHandle) -> SetHandle:
     """Set of the maximal constituents of a that have b at their bottom."""
-    return make_set(maximal_elements(_with_bottom(a, b)))
+    return make_set(_maximal(_with_bottom(a, b)))
 
 
 def max_with_bottom_unique(a: SetHandle, b: SetHandle) -> SetHandle:
     found = _with_bottom(a, b)
     if not found:
         raise NoneFound(f"no constituent of {a!r} has {b!r} at the bottom")
-    return _only(maximal_elements(found), "maximal constituents with that bottom")
+    return _only(_maximal(found), "maximal constituents with that bottom")
 
 
 def _with_top(a: SetHandle, b: SetHandle) -> list[SetHandle]:
+    _require_set(a, b)
     return [c for c in constituent_set(a) if _under_top(b, c) is not None]
 
 
@@ -208,4 +222,5 @@ def with_top_unique(a: SetHandle, b: SetHandle) -> SetHandle:
 
 def map_union(x: SetHandle, y: SetHandle) -> SetHandle:
     """Rebuild x unioning y into every subterm along the way."""
+    _require_set(x, y)
     return fold(x, lambda w, kids: make_set(kids + list(y.children)), {})

@@ -33,7 +33,6 @@ from .kernel import (
     _below,
     _require_set,
     _shortlex,
-    constituent_set,
     fold,
     make_set,
 )
@@ -93,9 +92,69 @@ def _require_record(r: object) -> None:
         raise TypeError(f"expected a set or a structure record, got {type(r).__name__}")
 
 
-def _terminals(h: SetHandle) -> dict[int, SetHandle]:
-    """The position markers that occur inside h, by slot number."""
-    return {n: w for w in constituent_set(h) if (n := _slot(w)) is not None}
+def _read(h: SetHandle) -> tuple[dict[int, SetHandle], list[SetHandle], list[SetHandle]]:
+    """One walk down h: its slots by number, the constituents met before a
+    slot that neither hold a slot nor lie inside one, and the elements of h
+    that lie inside no other element.
+
+    The walk keeps its own stack and stops at slots, which never nest.  What
+    lies inside them is read afterwards, and only when some node met holds
+    no slot, since a node that holds one lies inside none.  A run of
+    one-element sets is walked down in one loop and its values set in one
+    step, as fold does.  A slot has two elements and the first is a
+    singleton, so most nodes are passed over before _slot reads them.
+    """
+    n = _slot(h)
+    if n is not None:
+        return {n: h}, [], _maximal_proper(h)
+    slots: dict[int, SetHandle] = {}
+    holds: dict[SetHandle, bool] = {}
+    unheld: list[SetHandle] = []
+    # the elements of each node below h, added as the walk leaves it: an
+    # element of h lies inside another only if it is shorter, so the walk,
+    # taking h's elements in order, meets it first and finds it here later
+    below: set[SetHandle] = set()
+    # an entry is (node, children to visit, the run of singletons above node)
+    stack = [(h, iter(h.children), None)]
+    while stack:
+        node, todo, above = stack[-1]
+        for c in todo:
+            if c in holds:
+                continue
+            kids = c.children
+            run = None
+            if len(kids) == 1 and kids[0] not in holds:
+                run = [c]
+                c = kids[0]
+                kids = c.children
+                while len(kids) == 1 and kids[0] not in holds:
+                    run.append(c)
+                    c = kids[0]
+                    kids = c.children
+            if len(kids) == 2 and len(kids[0].children) == 1 and (n := _slot(c)) is not None:
+                slots[n] = c
+                holds[c] = True
+                if run is not None:
+                    holds.update(zip(run, itertools.repeat(True)))
+                continue
+            stack.append((c, iter(kids), run))
+            break
+        else:
+            stack.pop()
+            kids = node.children
+            held = holds[node] = any(map(holds.__getitem__, kids))
+            if node is not h:
+                below.update(kids)
+            if above is not None:
+                holds.update(zip(above, itertools.repeat(held)))
+            if not held:
+                unheld.append(node)
+                unheld.extend(above or ())
+    if unheld:
+        inside = _below(slots.values())
+        below |= inside
+        unheld = [x for x in unheld if x not in inside]
+    return slots, unheld, [e for e in h.children if e not in below]
 
 
 def _require_contiguous(ks: list[int], offset: int) -> None:
@@ -106,21 +165,20 @@ def _require_contiguous(ks: list[int], offset: int) -> None:
 def top_structure(h: SetHandle, offset: int = 0) -> TopStructure:
     """Validate h as a top structure (strict: raises NotAStructure)."""
     _require_set(h)
-    terminals = _terminals(h)
-    if not terminals:
+    slots, bypass, _ = _read(h)
+    return TopStructure(set=h, arity=_top_arity(slots, bypass, offset), offset=offset)
+
+
+def _top_arity(slots: dict[int, SetHandle], bypass: list[SetHandle], offset: int) -> int:
+    """The arity of the top a reading describes; NotAStructure unless it is one."""
+    if not slots:
         raise NotAStructure("no position markers occur in the set")
-    _require_contiguous(sorted(terminals), offset)
-    # x passes when it holds a terminal (holds[x]) or lies inside one; the
-    # fold stops at terminals, so what it never reaches lies inside one
-    holds = dict.fromkeys(terminals.values(), True)
-    fold(h, lambda w, kids: any(kids), holds)
-    inside = _below(terminals.values())
-    bypass = [x for x, held in holds.items() if not held and x not in inside]
+    _require_contiguous(sorted(slots), offset)
     if bypass:
         raise NotAStructure(
             f"constituent bypasses every terminal: {min(bypass, key=_shortlex)!r}"
         )
-    return TopStructure(set=h, arity=len(terminals), offset=offset)
+    return len(slots)
 
 
 def bottom_structure(h: SetHandle, offset: int = 0) -> BottomStructure:
@@ -133,8 +191,12 @@ def bottom_structure(h: SetHandle, offset: int = 0) -> BottomStructure:
     _require_set(h)
     if h is EMPTY:
         raise NotAStructure("the empty set carries no markers")
+    return _bottom(h, offset, _maximal_proper(h))
+
+
+def _bottom(h: SetHandle, offset: int, maximal: list[SetHandle]) -> BottomStructure:
     markers: dict[int, SetHandle] = {}
-    for m in _maximal_proper(h):
+    for m in maximal:
         n, _ = _parse_marker(m)
         if n in markers:
             raise NotAStructure(f"two maximal markers share index {n}")
@@ -156,16 +218,17 @@ def middle_structure(h: SetHandle, offset: int = 0) -> MiddleStructure:
 
 def _middle(h: SetHandle, offset: int) -> tuple[MiddleStructure, BottomStructure]:
     """middle_structure(h, offset) with the bottom reading it checked, whose
-    markers close and fuse_middle read without parsing them again."""
-    t = top_structure(h, offset)
-    b = bottom_structure(h, offset)
-    if t.arity != b.arity:
-        raise NotAStructure(
-            f"slot arity {t.arity} differs from marker arity {b.arity}"
-        )
+    markers close and fuse_middle read without parsing them again.  One walk
+    reads h for both readings; the top is checked first."""
+    _require_set(h)
+    slots, bypass, maximal = _read(h)
+    arity = _top_arity(slots, bypass, offset)
+    b = _bottom(h, offset, maximal)
+    if arity != b.arity:
+        raise NotAStructure(f"slot arity {arity} differs from marker arity {b.arity}")
     if any(_slot(m) is not None for m in b.markers):
         raise NotAStructure("a bare position marker doubles as a branch marker")
-    return MiddleStructure(set=h, arity=t.arity, offset=offset), b
+    return MiddleStructure(set=h, arity=arity, offset=offset), b
 
 
 def _or_none(

@@ -9,9 +9,9 @@ is loaded by file path, so the benchmark's runner stays off `sys.path`.
 
 What stays here adapts handles to that module (`.text` in, `parse` out)
 and the searches only tests use: simultaneous substitution, fusion's
-exhaustive decompositions, an unpruned individualization search for
-canonical forms, vertex relabelling and a collision-intolerant
-realization.
+readings of a text as a top, bottom or middle and its exhaustive
+decompositions, an unpruned individualization search for canonical forms,
+vertex relabelling and a collision-intolerant realization.
 """
 from __future__ import annotations
 
@@ -93,6 +93,60 @@ def position_indices_by_text(text: str) -> list[int]:
         if marker in text:
             found.append(n)
         n += 1
+
+
+def bypass_by_text(text: str) -> list[str]:
+    """The constituents of text that neither hold a position marker's text
+    nor lie inside one, in shortlex order; a top has none."""
+    slots = [oracle.position(n) for n in position_indices_by_text(text)]
+    return sorted(
+        (
+            c
+            for c in oracle.constituents(text)
+            if not any(
+                oracle.is_constituent(c, s) or oracle.is_constituent(s, c) for s in slots
+            )
+        ),
+        key=oracle.shortlex,
+    )
+
+
+def bottom_markers_by_text(text: str) -> list[str] | None:
+    """The markers of text read as an offset-0 bottom, by number, or None.
+
+    Each maximal element must be n singletons around the diamond
+    {{{x}},{x,{x}}} over some x, and the numbers must run 0, 1, ... with
+    none repeated.
+    """
+    markers: dict[int, str] = {}
+    for m in oracle.maximal(oracle.elements(text)):
+        n, w = 0, m
+        while len(es := oracle.elements(w)) == 1:
+            n, w = n + 1, es[0]
+        # the diamond over x has 3|x| + 12 characters, x from the fourth on
+        x = w[3 : 3 + (len(w) - 12) // 3]
+        if n in markers or x not in oracle.constituents(w) or oracle.branch(0, x) != w:
+            return None
+        markers[n] = m
+    if not markers or sorted(markers) != list(range(len(markers))):
+        return None
+    return [markers[n] for n in range(len(markers))]
+
+
+def middle_markers_by_text(text: str) -> list[str] | None:
+    """The markers of text read as an offset-0 middle, or None: a top whose
+    slots run 0, 1, ... and a bottom with as many markers, none of which is a
+    bare position marker."""
+    markers = bottom_markers_by_text(text)
+    if (
+        markers is None
+        or position_indices_by_text(text) != list(range(len(markers)))
+        or bypass_by_text(text)
+        # a position marker n has 6n + 18 characters
+        or any(m == oracle.position((len(m) - 18) // 6) for m in markers)
+    ):
+        return None
+    return markers
 
 
 def has_top_exhaustive(t: SetHandle, x: SetHandle) -> bool:

@@ -22,7 +22,6 @@ from conset import (
 )
 from conset.algebra import map_union
 from conset.cli import main
-from conset.corpus import generate
 from conset.errors import NotAStructure, TerminalMismatch
 from conset.fusion import (
     close,

@@ -21,7 +21,7 @@ from conset.corpus import generate
 from conset.expr import evaluate
 from conset.numerals import vn, zermelo
 from conset.structure import structure_of, to_dot, to_json
-from conset.tuples import diamond, get_at, make_tuple
+from conset.tuples import diamond, get_at
 
 GOLDEN = Path(__file__).parent / "golden"
 Z = zermelo

@@ -14,7 +14,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conset import fusion
-from conset.algebra import compose, replace
+from conset.algebra import (
+    compose,
+    compose_all,
+    has_bottom,
+    is_top,
+    lcc,
+    lcc_set,
+    map_union,
+    max_with_bottom,
+    max_with_bottom_unique,
+    maximal_constituents,
+    maximal_elements,
+    remove_bottom,
+    remove_top,
+    replace,
+    unique_maximum,
+    with_top,
+    with_top_unique,
+)
 from conset.cli import main
 from conset.errors import CalculusError, MalformedGraph, NotAStructure
 from conset.expr import evaluate
@@ -68,10 +86,28 @@ FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
 
 TOP = make_set([position(0)])
 BOTTOM = make_tuple([EMPTY])
-# (op, args): every fusion entry point that takes a set or a structure record,
-# every structure entry point that takes a diagram, and structure_of, each
-# given an int where one of those belongs
+# (op, args): every algebra entry point, every fusion entry point that takes
+# a set or a structure record, every structure entry point that takes a
+# diagram, and structure_of, each given an int where one of those belongs
 WRONG_TYPES = [
+    (compose_all, ([5],)),
+    # without the check, has_bottom(5, 5) answers True
+    (has_bottom, (5, 5)),
+    (has_bottom, (EMPTY, 5)),
+    (is_top, (5, 5)),
+    (remove_bottom, (5, 5)),
+    (remove_top, (5, 5)),
+    (maximal_elements, ([EMPTY, 5],)),
+    (maximal_constituents, (5,)),
+    (unique_maximum, (5,)),
+    (lcc_set, (5, 5)),
+    (lcc, (EMPTY, 5)),
+    (max_with_bottom, (5, EMPTY)),
+    # and max_with_bottom_unique(5, 5) returns 5
+    (max_with_bottom_unique, (5, 5)),
+    (with_top, (5, EMPTY)),
+    (with_top_unique, (EMPTY, 5)),
+    (map_union, (5, 5)),
     (top_structure, (5,)),
     (bottom_structure, (5,)),
     (middle_structure, (5,)),
@@ -202,13 +238,12 @@ class TestBoundaryCases:
         assert fuse(TopStructure(*m), m.set) is fuse(m.set, m.set)
 
 
-def _scans(monkeypatch, op, *args, reader="top_structure"):
-    """The number of calls op(*args) makes to reader, a fusion validator."""
+def _scans(monkeypatch, op, *args, reader="_read"):
+    """The number of calls op(*args) makes to reader: fusion's one walk of a
+    set, which every top and middle check reads, or its marker parse."""
     seen = []
     real = getattr(fusion, reader)
-    monkeypatch.setattr(
-        fusion, reader, lambda h, offset=0: seen.append(h) or real(h, offset)
-    )
+    monkeypatch.setattr(fusion, reader, lambda *a: seen.append(a) or real(*a))
     op(*args)
     monkeypatch.undo()
     return len(seen)
@@ -230,12 +265,12 @@ class TestValidatedOnce:
     def test_close_parses_its_markers_once(self, monkeypatch):
         m = middle([Z(2), vn(2), EMPTY])
         for arg in (m.set, m):
-            assert _scans(monkeypatch, close, arg, reader="bottom_structure") == 1
+            assert _scans(monkeypatch, close, arg, reader="_bottom") == 1
 
     def test_fuse_middle_parses_markers_of_each_side_and_the_result_once(self, monkeypatch):
         a, b = middle_permutation([1, 0]), middle([Z(1), vn(2)])
         for args in ((a.set, b.set), (a, b)):
-            assert _scans(monkeypatch, fuse_middle, *args, reader="bottom_structure") == 3
+            assert _scans(monkeypatch, fuse_middle, *args, reader="_bottom") == 3
 
 
 # Fuzzing: hand-built inputs through the public surface; only CalculusError

@@ -32,7 +32,8 @@ from conset.errors import (
 from conset.fusion import (
     BottomStructure,
     TopStructure,
-    _terminals,
+    _middle,
+    _read,
     bottom_structure,
     bottom_terminal,
     close,
@@ -63,17 +64,23 @@ from conset.tuples import (
 )
 
 from _oracles import (
+    bottom_markers_by_text,
     branch,
-    constituents_brute,
+    bypass_by_text,
     has_bottom_exhaustive,
     has_top_exhaustive,
-    is_constituent_by_text,
+    middle_markers_by_text,
     position_indices_by_text,
     simultaneous_replace_by_text,
 )
 
 D = diamond()
 Z = zermelo
+
+
+def slots(h):
+    """The slots the one reader finds in h, by number."""
+    return _read(h)[0]
 
 
 def sample_bottom(x, y, z):
@@ -160,21 +167,10 @@ class TestValidators:
             if rng.random() < 0.5:
                 y = compose(y, position(1))
             h = make_set([compose(x, position(0)), position(1), y])
-            slots = [position(n) for n in position_indices_by_text(h.text)]
-            assert len(slots) == 2
-            bypass = sorted(
-                (
-                    c
-                    for c in constituents_brute(h)
-                    if not any(
-                        is_constituent_by_text(c, t) or is_constituent_by_text(t, c)
-                        for t in slots
-                    )
-                ),
-                key=lambda c: (len(c.text), c.text),
-            )
+            assert position_indices_by_text(h.text) == [0, 1]
+            bypass = bypass_by_text(h.text)
             if bypass:
-                with pytest.raises(NotAStructure, match=re.escape(repr(bypass[0]))):
+                with pytest.raises(NotAStructure, match=re.escape(repr(parse(bypass[0])))):
                     top_structure(h)
             else:
                 assert top_structure(h).arity == 2
@@ -232,17 +228,86 @@ class TestMarkerReading:
         nested = [make_tuple([t, rng.choice(corpus200)]) for t in flat]
         nested += [make_tuple([empty(), make_tuple([position(2), D])])]
         for h in corpus200 + flat + nested + [kuratowski_top(), grouping_top()]:
-            assert sorted(_terminals(h)) == position_indices_by_text(h.text)
+            assert sorted(slots(h)) == position_indices_by_text(h.text)
 
     def test_indices_of_known_tops(self):
-        assert sorted(_terminals(kuratowski_top())) == [0, 1]
-        assert sorted(_terminals(grouping_top())) == [0, 1, 2]
+        assert sorted(slots(kuratowski_top())) == [0, 1]
+        assert sorted(slots(grouping_top())) == [0, 1, 2]
         apart = make_set([position(3), make_set([position(1)])])
-        assert sorted(_terminals(apart)) == [1, 3]
-        assert sorted(_terminals(Z(4))) == []
+        assert sorted(slots(apart)) == [1, 3]
+        assert sorted(slots(Z(4))) == []
 
     def test_large_entry_tuple_is_a_top(self):
         assert top_structure(make_tuple([vn(12), empty()])).arity == 2
+
+
+class TestOneReader:
+    """One walk reads a set for the top, bottom and middle checks."""
+
+    def test_element_inside_a_slot_only_is_no_marker(self):
+        # Z(1) lies inside slot 0's marker and nowhere else, so it is not a
+        # maximal element, though the walk never enters the slot
+        m = middle([Z(1), Z(2)])
+        h = make_set(m.set.children + (Z(1),))
+        assert middle_structure(h).arity == 2
+        assert _middle(h, 0)[1].markers == bottom_structure(m.set).markers
+        assert close(h) is close(m) is make_set([Z(1), Z(2)])
+
+    def test_bottom_with_an_element_inside_its_marker(self):
+        h = make_set([position(1), Z(1)])
+        bv = bottom_structure(h)
+        assert (bv.arity, bv.markers) == (1, (position(1),))
+        assert bottom_terminal(bv, 0) is Z(1)
+        assert top_structure(h, offset=1).arity == 1
+        with pytest.raises(NotAStructure, match=r"^marker indices \[0\] are not contiguous from 1$"):
+            middle_structure(h, offset=1)
+
+    def test_a_slot_is_a_top_of_arity_one(self):
+        assert top_structure(position(0)) == TopStructure(position(0), 1, 0)
+        assert slots(position(2)) == {2: position(2)}
+        with pytest.raises(NotAStructure, match="^marker residue is not a diamond stack"):
+            middle_structure(position(0))
+
+    def test_runs_of_singletons(self):
+        # one run ends at slot 0, another enters it halfway, and a third,
+        # Z(7), ends at {}: of its sets only Z(2) and below lie inside slot
+        # 0's marker, so Z(3) is the least that bypasses it
+        p = position(0)
+        top = make_set([compose(Z(5), p), compose(Z(2), p)])
+        assert top_structure(top).arity == 1
+        h = make_set(top.children + (Z(7),))
+        bypass = bypass_by_text(h.text)
+        assert parse(bypass[0]) is Z(3)
+        with pytest.raises(NotAStructure, match=re.escape(repr(Z(3))) + "$"):
+            top_structure(h)
+        assert top_structure(make_tuple([Z(3000), vn(3)])).arity == 2
+
+    def test_readings_match_text_oracle(self, corpus200):
+        # bottoms and middles of corpus branches, each also with one more
+        # element, beside plain sets
+        rng = random.Random(23)
+        extra = [empty(), Z(1), Z(2), Z(3), vn(2), D, position(0), position(1)]
+        cases = corpus200 + sets_up_to(18)
+        for x, y in zip(corpus200[:40], corpus200[40:80]):
+            for a, b in ((x, y), (compose(x, position(0)), compose(y, position(1)))):
+                parts = [branch(0, a), branch(1, b)]
+                cases += [make_set(parts), make_set(parts + [rng.choice(extra)])]
+        outcomes = set()
+        for h in cases:
+            bottom = bottom_markers_by_text(h.text)
+            bv = validate_bottom(h)
+            assert (bv is None) == (bottom is None), h
+            if bv is not None:
+                assert bv.arity == len(bottom)
+                assert [m.text for m in bv.markers] == bottom
+            mid = middle_markers_by_text(h.text)
+            assert (validate_middle(h) is None) == (mid is None), h
+            if mid is not None:
+                mv, bv = _middle(h, 0)
+                assert mv.arity == len(mid)
+                assert [m.text for m in bv.markers] == mid
+            outcomes.add((bottom is not None, mid is not None))
+        assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 class TestBottomTerminal:

@@ -27,7 +27,6 @@ from conset import (
     graph_product,
     graph_sum,
     isomorphic,
-    map_union,
     parse,
     simplest_set,
     structure_of,
