@@ -121,7 +121,8 @@ def remove_bottom(b: SetHandle, a: SetHandle) -> SetHandle:
     """The part of b above a; requires a at the bottom of b."""
     if not has_bottom(b, a):
         raise NotABottom(f"{a!r} is not at the bottom of {b!r}")
-    return replace(b, a, EMPTY)
+    # has_bottom found a inside b, so the substitution needs no second look
+    return b if a is EMPTY else _substitute(b, {a: EMPTY})
 
 
 def remove_top(c: SetHandle, b: SetHandle) -> SetHandle:

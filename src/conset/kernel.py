@@ -290,6 +290,7 @@ def to_text(h: SetHandle, memo: dict[SetHandle, str] | None = None) -> str:
     every set after its constituents, so rendering its tags in vertex order
     joins each text once.
     """
+    _require_set(h)
     if memo is None or h._text is not None:
         return h.text
     t = memo.get(h)
@@ -304,6 +305,8 @@ def parse(text: str) -> SetHandle:
     Whitespace between tokens is ignored.  The input need not be canonical:
     element order and duplicates are normalized during construction.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"parse takes a str, got {type(text).__name__}")
     stack: list[list[SetHandle]] = []
     expect_item = True
     result: SetHandle | None = None

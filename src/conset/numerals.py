@@ -46,13 +46,21 @@ def _unwrap(h: SetHandle) -> tuple[int, SetHandle]:
     return n, h
 
 
+def _require_int(n: object) -> None:
+    """Raise TypeError, naming the type, unless n is an int (a bool is one)."""
+    if not isinstance(n, int):
+        raise TypeError(f"a numeral takes an int, got {type(n).__name__}")
+
+
 def zermelo(n: int) -> SetHandle:
     """Successor numeral: 0 = {}, n+1 = {n}."""
+    _require_int(n)
     return _wrap(n, EMPTY)
 
 
 def vn(n: int) -> SetHandle:
     """Cumulative numeral: n = {0, 1, ..., n-1}."""
+    _require_int(n)
     if n < 0:
         raise ValueError("numerals are non-negative")
     acc: list[SetHandle] = []

@@ -7,12 +7,16 @@ is a single bottom (the empty set) and a single top (the whole set).
 
 A certificate is the least leaf encoding of a color refinement and
 individualization tree that does not depend on the input labeling, so two
-graphs get equal certificate bytes exactly when they are isomorphic.  The
-search walks the tree with one explicit stack and skips subtrees whose leaves
-are images of leaves already seen under an automorphism: classes of twins
-split without branching, automorphisms found at equal leaves prune the
-children of the first path by orbit, and the path jumps back once its branch
-joins an explored orbit.  Realization walks a diagram bottom-up and builds the
+graphs get equal certificate bytes exactly when they are isomorphic.
+Refinement signs only the classes that a split can reach (the neighbours of
+the vertices that moved, starting from the one individualized), and numbers
+the classes as re-signing every vertex every round would, so the tree and
+the bytes are those of that full re-sign.  The search walks the tree with
+one explicit stack and skips subtrees whose leaves are images of leaves
+already seen under an automorphism: classes of twins split without
+branching, automorphisms found at equal leaves prune the children of the
+first path by orbit, and the path jumps back once its branch joins an
+explored orbit.  Realization walks a diagram bottom-up and builds the
 least set whose diagram matches, adding far-down constituents as extra
 elements only when two vertices would otherwise collide.
 """
@@ -154,25 +158,80 @@ def _refine(
     lowers: list[list[int]],
     uppers: list[list[int]],
     colors: list[int],
+    moved: list[int] | None = None,
 ) -> list[int]:
     """Split color classes by neighbour colors until nothing splits.
 
-    Colors are dense ranks, and a class splits in place: the new rank sorts
-    by the old color first.
+    Colors are dense ranks, and a class splits in place: its parts take
+    consecutive ranks in the order of their sorted (lower, upper) signatures,
+    and the classes above it move up.  This is the numbering that re-signing
+    every vertex in every round gives, but a round signs only the classes of
+    two or more that hold a neighbour of a vertex moved in the round before.
+    The members of any other class had equal signatures and see no class
+    change, so it cannot split.  Of a split class the largest part need not
+    count as moved: a class that sees no other part of it sees that part as
+    often as it saw the whole class.  Without `moved`, on the base coloring,
+    the first round signs every class; after _split of a refined coloring,
+    `moved` is the vertex given a class of its own.
     """
+    # inside, a class is numbered by the count of vertices in lower classes,
+    # so a split renumbers only the parts it makes
+    lab = sorted(range(n), key=colors.__getitem__)
+    pos = [0] * n
+    cells: dict[int, list[int]] = {}
+    p = c = 0
+    for i in range(n):
+        v = lab[i]
+        if colors[v] != c:
+            cells[p] = lab[p:i]
+            p, c = i, colors[v]
+        pos[v] = p
+    cells[p] = lab[p:]
+    count = len(cells)
+    todo = list(cells)
     while True:
-        sigs = []
-        for v in range(n):
-            lo = [colors[u] for u in lowers[v]]
-            lo.sort()
-            up = [colors[u] for u in uppers[v]]
-            up.sort()
-            sigs.append((colors[v], tuple(lo), tuple(up)))
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+        if moved is not None:
+            todo = set()
+            for v in moved:
+                for u in lowers[v]:
+                    todo.add(pos[u])
+                for u in uppers[v]:
+                    todo.add(pos[u])
+        splits = []
+        for p in todo:
+            cell = cells[p]
+            if len(cell) < 2:
+                continue
+            parts: dict[tuple, list[int]] = {}
+            for v in cell:
+                lo = [pos[u] for u in lowers[v]]
+                lo.sort()
+                up = [pos[u] for u in uppers[v]]
+                up.sort()
+                sig = (tuple(lo), tuple(up))
+                part = parts.get(sig)
+                if part is None:
+                    parts[sig] = [v]
+                else:
+                    part.append(v)
+            if len(parts) > 1:
+                splits.append((p, [parts[s] for s in sorted(parts)]))
+        if not splits:
+            break
+        moved = []
+        for p, ordered in splits:
+            largest = max(ordered, key=len)
+            for part in ordered:
+                cells[p] = part
+                for v in part:
+                    pos[v] = p
+                if part is not largest:
+                    moved += part
+                p += len(part)
+    if len(cells) == count:
+        return colors
+    rank = {p: i for i, p in enumerate(sorted(cells))}
+    return [rank[p] for p in pos]
 
 
 def _split(colors: list[int], front: list[int], size: int) -> list[int]:
@@ -258,7 +317,7 @@ def _canonical(g: StructureGraph) -> tuple[tuple, list[int]]:
                 first_path.append(t0)
                 orbits.append(list(range(n)))
             stack.append([colors, cell, 0])
-            colors = _refine(n, lowers, uppers, _split(colors, [t0], len(cell)))
+            colors = _refine(n, lowers, uppers, _split(colors, [t0], len(cell)), [t0])
 
         pairs = [(colors[a], colors[b]) for a, b in g.edges]
         pairs.sort()
@@ -302,7 +361,9 @@ def _canonical(g: StructureGraph) -> tuple[tuple, list[int]]:
             if i < len(cell):
                 stack[-1][2] = i
                 div = min(div, d)
-                colors = _refine(n, lowers, uppers, _split(node, [cell[i]], len(cell)))
+                colors = _refine(
+                    n, lowers, uppers, _split(node, [cell[i]], len(cell)), [cell[i]]
+                )
                 break
             stack.pop()
         else:

@@ -227,6 +227,46 @@ def constituents_brute(h: SetHandle) -> frozenset[SetHandle]:
     return frozenset(map(parse, oracle.constituents(h.text)))
 
 
+def _covers(n: int, edges) -> tuple[list[list[int]], list[list[int]]]:
+    lowers: list[list[int]] = [[] for _ in range(n)]
+    uppers: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        uppers[a].append(b)
+        lowers[b].append(a)
+    return lowers, uppers
+
+
+def _dense(keys: list) -> list[int]:
+    ranks = {s: i for i, s in enumerate(sorted(set(keys)))}
+    return [ranks[s] for s in keys]
+
+
+def base_colors(g: StructureGraph) -> list[int]:
+    """Dense ranks of (level, in-degree, out-degree), where refinement starts."""
+    lowers, uppers = _covers(g.n, g.edges)
+    level = oracle.levels(g.n, g.edges)
+    return _dense([(level[v], len(lowers[v]), len(uppers[v])) for v in range(g.n)])
+
+
+def refine_full(n: int, edges, colors: list[int]) -> list[int]:
+    """Color refinement that re-signs every vertex each round: each vertex
+    gets the dense rank of (its color, sorted lower-cover colors, sorted
+    upper-cover colors) until a round changes nothing."""
+    lowers, uppers = _covers(n, edges)
+    while True:
+        new = _dense([
+            (
+                colors[v],
+                tuple(sorted(colors[u] for u in lowers[v])),
+                tuple(sorted(colors[u] for u in uppers[v])),
+            )
+            for v in range(n)
+        ])
+        if new == colors:
+            return colors
+        colors = new
+
+
 def canonical_form_exhaustive(g: StructureGraph) -> tuple:
     """The least leaf encoding over the whole individualization tree.
 
@@ -237,46 +277,21 @@ def canonical_form_exhaustive(g: StructureGraph) -> tuple:
     symmetric shapes: keep n small.
     """
     n = g.n
-    lowers: list[list[int]] = [[] for _ in range(n)]
-    uppers: list[list[int]] = [[] for _ in range(n)]
-    for a, b in g.edges:
-        uppers[a].append(b)
-        lowers[b].append(a)
-    level = oracle.levels(n, g.edges)
-
-    def dense(keys: list) -> list[int]:
-        ranks = {s: i for i, s in enumerate(sorted(set(keys)))}
-        return [ranks[s] for s in keys]
-
-    def refine(colors: list[int]) -> list[int]:
-        while True:
-            new = dense([
-                (
-                    colors[v],
-                    tuple(sorted(colors[u] for u in lowers[v])),
-                    tuple(sorted(colors[u] for u in uppers[v])),
-                )
-                for v in range(n)
-            ])
-            if new == colors:
-                return colors
-            colors = new
-
     best: list = []
 
     def search(colors: list[int]) -> None:
-        colors = refine(colors)
+        colors = refine_full(n, g.edges, colors)
         for c in range(n):
             cell = [v for v in range(n) if colors[v] == c]
             if len(cell) > 1:
                 for v in cell:
-                    search(dense([(colors[u], u != v) for u in range(n)]))
+                    search(_dense([(colors[u], u != v) for u in range(n)]))
                 return
         form = (n, tuple(sorted((colors[a], colors[b]) for a, b in g.edges)))
         if not best or form < best[0]:
             best[:] = [form]
 
-    search(dense([(level[v], len(lowers[v]), len(uppers[v])) for v in range(n)]))
+    search(base_colors(g))
     return best[0]
 
 

@@ -265,6 +265,19 @@ class TestRemoveBottom:
             y = corpus200[-1 - i]
             assert remove_bottom(compose(x, y), y) is x
 
+    def test_looks_for_the_bottom_once(self, corpus200, monkeypatch):
+        # has_bottom finds a inside b; the substitution does not look again
+        x, a = corpus200[3], corpus200[-4]
+        b = compose(x, a)
+        calls = []
+        real = conset.algebra.is_constituent
+        monkeypatch.setattr(
+            conset.algebra, "is_constituent", lambda *args: calls.append(args) or real(*args)
+        )
+        got = remove_bottom(b, a)
+        assert calls == [(a, b)]
+        assert got.text == oracle.replace(b.text, a.text, oracle.EMPTY)
+
 
 class TestRemoveTop:
     def test_numeral_difference(self):

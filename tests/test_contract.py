@@ -57,7 +57,7 @@ from conset.fusion import (
     validate_middle,
     validate_top,
 )
-from conset.kernel import EMPTY, make_set
+from conset.kernel import EMPTY, make_set, parse, to_text
 from conset.numerals import vn, zermelo
 from conset.structure import (
     POINT,
@@ -88,7 +88,8 @@ TOP = make_set([position(0)])
 BOTTOM = make_tuple([EMPTY])
 # (op, args): every algebra entry point, every fusion entry point that takes
 # a set or a structure record, every structure entry point that takes a
-# diagram, and structure_of, each given an int where one of those belongs
+# diagram, and structure_of, each given an int where one of those belongs;
+# then parse, to_text and the numerals, each given a value of another type
 WRONG_TYPES = [
     (compose_all, ([5],)),
     # without the check, has_bottom(5, 5) answers True
@@ -139,6 +140,12 @@ WRONG_TYPES = [
     (graph_product, (POINT, 5)),
     (to_dot, (5,)),
     (to_json, (5,)),
+    (parse, (5,)),
+    (parse, (b"{}",)),
+    (to_text, (5,)),
+    (zermelo, ("3",)),
+    (vn, ("a",)),
+    (vn, (2.0,)),
 ]
 
 
@@ -219,8 +226,10 @@ class TestBoundaryCases:
 
     @pytest.mark.parametrize("op, args", WRONG_TYPES, ids=[op.__name__ for op, _ in WRONG_TYPES])
     def test_wrong_python_type_is_a_type_error(self, op, args):
-        # each of these raised AttributeError from deep inside before
-        with pytest.raises(TypeError, match=r"\bint\b"):
+        # each of these raised AttributeError from deep inside before, or a
+        # TypeError that did not say which argument was wrong
+        wrong = next((a for a in args if isinstance(a, (bytes, float, str))), 5)
+        with pytest.raises(TypeError, match=rf"\bgot\b.*\b{type(wrong).__name__}\b"):
             op(*args)
 
     def test_bottom_record_with_too_few_markers(self):

@@ -53,6 +53,55 @@ def _fan(*lengths: int) -> StructureGraph:
     )
 
 
+def _cfi(base: int, seed: int, twisted: bool) -> StructureGraph:
+    """A Cai-Furer-Immerman graph on four levels over a random 3-regular
+    graph of `base` vertices, with its first edge twisted when asked.
+
+    The base graph is drawn from the configuration model, again until it
+    has no loop and no repeated edge.  Level 1: for each base vertex x and
+    each even subset S of its three edges, a vertex m(x, S) above the
+    bottom.  Level 2: for each edge e at x and each bit b, a vertex
+    a(x, e, b) above the m(x, S) with [e in S] = b.  Level 3: for each edge
+    e = {x, y} and each bit b, a vertex p(e, b) above a(x, e, b) and
+    a(y, e, b), or a(y, e, 1 - b) on the twisted edge.  The top is above
+    every p.  Color refinement does not tell the two twists apart, yet they
+    are not isomorphic.
+    """
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(base) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = [tuple(sorted(points[i : i + 2])) for i in range(0, len(points), 2)]
+        if all(x != y for x, y in pairs) and len(set(pairs)) == len(pairs):
+            break
+    ends: list[list[int]] = [[] for _ in range(base)]
+    for e, pair in enumerate(pairs):
+        for x in pair:
+            ends[x].append(e)
+    n = 1 + 4 * base + 6 * base + 2 * len(pairs) + 1
+    a = {}  # (x, e, b) -> vertex
+    edges = []
+    nxt = 1
+    for x in range(base):
+        for e in ends[x]:
+            for b in (0, 1):
+                a[x, e, b] = nxt
+                nxt += 1
+    for x in range(base):
+        for subset in ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)):
+            edges.append((0, nxt))
+            edges += [(nxt, a[x, e, b]) for e, b in zip(ends[x], subset)]
+            nxt += 1
+    for e, (x, y) in enumerate(pairs):
+        for b in (0, 1):
+            flip = int(twisted and e == 0)
+            edges += [(a[x, e, b], nxt), (a[y, e, b ^ flip], nxt), (nxt, n - 1)]
+            nxt += 1
+    return StructureGraph(
+        tags=(None,) * n, edges=tuple(sorted(edges)), top=n - 1, bottom=0
+    )
+
+
 def _layered_dag(seed: int) -> StructureGraph:
     """A seeded random diagram on at most 9 vertices, edges between layers.
 
@@ -248,6 +297,91 @@ class TestSymmetricShapes:
         monkeypatch.setattr(structure, "_refine", counting)
         canonical_cert(_fan(*[2] * k))
         assert len(calls) <= k * k
+
+
+def _refine_both(g: StructureGraph, colors: list[int], moved=None) -> tuple[list, list]:
+    """The library's refinement of colors and the full re-sign of them."""
+    lowers, uppers, _ = structure._diagram(g)
+    got = structure._refine(g.n, lowers, uppers, colors, moved)
+    return got, oracles.refine_full(g.n, g.edges, colors)
+
+
+REFINED_SHAPES = {
+    **SHAPES,
+    **{f"branch-fan-{k}": _fan(*[2] * k) for k in range(2, 13)},
+    "cfi-10": _cfi(10, 1, False),
+    "cfi-10-twisted": _cfi(10, 1, True),
+}
+
+
+class TestRefinement:
+    def test_base_coloring_refines_as_the_full_re_sign(self, corpus200):
+        for x in corpus200:
+            g = structure_of(x)
+            got, want = _refine_both(g, oracles.base_colors(g))
+            assert got == want
+
+    @pytest.mark.parametrize("name", sorted(REFINED_SHAPES))
+    def test_each_individualization_refines_as_the_full_re_sign(self, name):
+        g = REFINED_SHAPES[name]
+        colors = oracles.refine_full(g.n, g.edges, oracles.base_colors(g))
+        for v in range(g.n):
+            size = colors.count(colors[v])
+            if size > 1:
+                got, want = _refine_both(g, structure._split(colors, [v], size), [v])
+                assert got == want
+
+    def test_individualizing_reads_only_what_the_split_reaches(self):
+        # one branch of 50 individualized: the vertex, the 50 of the class
+        # above it and the one of them that split off are each read below
+        # and above, once; re-signing all 102 vertices every round, with a
+        # last round that finds nothing moved, read 408 lists
+        k = 50
+        g = _fan(*[2] * k)
+        lowers, uppers, _ = structure._diagram(g)
+        colors = oracles.refine_full(g.n, g.edges, oracles.base_colors(g))
+        reads = []
+
+        class Counted(list):
+            def __getitem__(self, v):
+                reads.append(v)
+                return list.__getitem__(self, v)
+
+        first = colors.index(1)  # the lower vertex of the first branch
+        split = structure._split(colors, [first], k)
+        structure._refine(g.n, Counted(lowers), Counted(uppers), split, [first])
+        assert len(reads) == 2 * (1 + k + 1)
+
+
+CFI_PAIR = (REFINED_SHAPES["cfi-10"], REFINED_SHAPES["cfi-10-twisted"])
+
+
+class TestCFIPair:
+    def test_refinement_alone_does_not_separate_them(self):
+        refined = []
+        for g in CFI_PAIR:
+            check_graph(g)
+            refined.append(sorted(oracles.refine_full(g.n, g.edges, oracles.base_colors(g))))
+        assert refined[0] == refined[1]
+
+    def test_search_decides_them_in_a_pinned_tree(self, monkeypatch):
+        calls = []
+        refine = structure._refine
+
+        def counting(*args):
+            calls.append(None)
+            return refine(*args)
+
+        monkeypatch.setattr(structure, "_refine", counting)
+        assert isomorphic(*CFI_PAIR) is None
+        assert len(calls) == 616
+
+    def test_relabelled_copies_keep_their_certificates(self):
+        rng = random.Random(3)
+        for g in CFI_PAIR:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_cert(oracles.permute_graph(g, perm)) == canonical_cert(g)
 
 
 class TestIsomorphic:
