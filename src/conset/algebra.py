@@ -4,6 +4,11 @@ Replacement x(y -> z) swaps every occurrence of y inside x for z in one
 simultaneous pass: occurrences are judged against the original subterms of x,
 and the result is rebuilt bottom-up so merged duplicates and element order
 re-canonicalize.  Composition x(y) is replacement of the empty set.
+
+A set lies only inside sets of higher rank, so a walk that looks for a set
+stops at its rank: replacement rebuilds only what ranks above the least
+replaced set, and the bottom queries (and the tuple extraction built on
+them) read only what ranks above the bottom they look for.
 """
 
 from __future__ import annotations
@@ -45,8 +50,21 @@ __all__ = [
 
 def _substitute(x: SetHandle, table: dict[SetHandle, SetHandle]) -> SetHandle:
     """x with every key of table replaced by its value in one pass over the
-    original subterms of x; no key may be a constituent of another."""
-    return fold(x, lambda w, kids: make_set(kids), dict(table))
+    original subterms of x; no key may be a constituent of another.  table
+    is the fold's memo, so it fills with the rebuilt subterms.
+
+    A set that is no key and ranks at or below every key holds none, so it
+    is unchanged: the floor is the least key rank, or rank(x) when lower.
+    """
+    floor = x.rank
+    for k in table:
+        if k.rank < floor:
+            floor = k.rank
+    return fold(x, _rebuild, table, floor)
+
+
+def _rebuild(w: SetHandle, kids: list[SetHandle]) -> SetHandle:
+    return make_set(kids)
 
 
 def replace(x: SetHandle, y: SetHandle, z: SetHandle) -> SetHandle:
@@ -77,21 +95,33 @@ def compose_all(items: Iterable[SetHandle]) -> SetHandle:
     return acc
 
 
-def _bottoms(x: SetHandle, a: SetHandle) -> dict[SetHandle, bool]:
-    """has_bottom(c, a) for each constituent c of x not strictly inside a.
+def _held(w: SetHandle, kids: list) -> bool | None:
+    """True when every child value is True, else None when some is, else False."""
+    n = kids.count(True)
+    return n == len(kids) or (None if n else False)
+
+
+def _bottoms(x: SetHandle, a: SetHandle) -> dict[SetHandle, object]:
+    """a mapped to True, and each constituent c of x ranked above a to _held:
+    True when a is at the bottom of c.  Sets the walk met at or below rank(a)
+    map to themselves.
 
     b(a -> {})(a) turns every empty set of b outside an a into a, so it is b
     exactly when every descent from b meets a before it meets the empty set.
+    Below rank(a) a descent can no longer meet a but will meet the empty
+    set, so the fold stops at rank(a): b is held when each element is a or
+    held.
     """
-    found = {a: True, EMPTY: a is EMPTY}
-    fold(x, lambda w, kids: all(kids), found)
+    found: dict[SetHandle, object] = {a: True}
+    fold(x, _held, found, a.rank)
     return found
 
 
 def has_bottom(b: SetHandle, a: SetHandle) -> bool:
-    """True when a sits at the bottom of b: b(a -> {})(a) = b."""
+    """True when a sits at the bottom of b: b(a -> {})(a) = b.  One walk of
+    b above rank(a) answers; no set there is held unless a is inside it."""
     _require_set(b, a)
-    return is_constituent(a, b) and _bottoms(b, a)[b]
+    return _bottoms(b, a).get(b) is True
 
 
 def _under_top(c: SetHandle, b: SetHandle) -> SetHandle | None:
@@ -121,7 +151,7 @@ def remove_bottom(b: SetHandle, a: SetHandle) -> SetHandle:
     """The part of b above a; requires a at the bottom of b."""
     if not has_bottom(b, a):
         raise NotABottom(f"{a!r} is not at the bottom of {b!r}")
-    # has_bottom found a inside b, so the substitution needs no second look
+    # has_bottom walked b once; the substitution walks what lies above a
     return b if a is EMPTY else _substitute(b, {a: EMPTY})
 
 
@@ -187,23 +217,40 @@ def lcc(a: SetHandle, b: SetHandle) -> SetHandle:
     return _only(_maximal(_common(a, b)), "largest common constituents")
 
 
-def _with_bottom(a: SetHandle, b: SetHandle) -> list[SetHandle]:
+def _max_with_bottom(a: SetHandle, b: SetHandle) -> list[SetHandle]:
+    """The maximal constituents of a with b at their bottom, from one walk of
+    a above rank(b), where all sets that can hold b lie.
+
+    A held set other than b has only held elements, so the held sets inside
+    another are exactly the elements of held sets other than b.  When none
+    is held, b is the answer only if the walk met it (a value None, or a is
+    b): a seed the walk never reached is no constituent.
+    """
     _require_set(a, b)
-    if not is_constituent(b, a):
-        return []
-    return [c for c, held in _bottoms(a, b).items() if held]
+    inside = set()
+    held = []
+    reached = a is b
+    for c, v in _bottoms(a, b).items():
+        if v is None:
+            reached = True
+        elif v is True and c is not b:
+            held.append(c)
+            inside.update(c.children)
+    if not held:
+        return [b] if reached else []
+    return [c for c in held if c not in inside]
 
 
 def max_with_bottom(a: SetHandle, b: SetHandle) -> SetHandle:
     """Set of the maximal constituents of a that have b at their bottom."""
-    return make_set(_maximal(_with_bottom(a, b)))
+    return make_set(_max_with_bottom(a, b))
 
 
 def max_with_bottom_unique(a: SetHandle, b: SetHandle) -> SetHandle:
-    found = _with_bottom(a, b)
+    found = _max_with_bottom(a, b)
     if not found:
         raise NoneFound(f"no constituent of {a!r} has {b!r} at the bottom")
-    return _only(_maximal(found), "maximal constituents with that bottom")
+    return _only(found, "maximal constituents with that bottom")
 
 
 def _with_top(a: SetHandle, b: SetHandle) -> list[SetHandle]:

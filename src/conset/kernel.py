@@ -16,7 +16,9 @@ from the children, so memory follows the distinct subterms, not the written
 form, whose length can grow with depth squared.  The element order is read
 off the children too: lengths first, then the first child that differs.  No
 handle stores its constituents.  What lies inside what is answered by a walk
-over the DAG, bounded by rank: a set lies only inside sets of higher rank.
+over the DAG, bounded by rank: a set lies only inside sets of higher rank, so
+is_constituent, and a fold given a floor, descend into nothing ranked at or
+below the set they look for.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ class SetHandle:
 
     __slots__ = ("uid", "children", "rank", "instances", "size", "_text")
 
-    def __init__(self, uid: int, children: tuple["SetHandle", ...]):
-        self.uid = uid
+    def __init__(self, children: tuple["SetHandle", ...]):
         self.children = children
         rank = 0
         instances = 1
@@ -79,6 +80,8 @@ class SetHandle:
             if size <= _STORED
             else None
         )
+        # drawn last, so a child that is not a set draws no uid
+        self.uid = next(_ids)
 
     @property
     def text(self) -> str:
@@ -249,6 +252,10 @@ def make_set(elems: Iterable[SetHandle]) -> SetHandle:
     elements (else by the frozenset itself).  A hit sorts nothing and reads
     no text; only a miss of two or more elements sorts by _shortlex.  The new
     handle stores its text length, and its text only when that is short.
+
+    Elements are not checked on a hit: no intern entry is found by anything
+    but handles.  A miss whose elements are not all handles raises TypeError
+    naming the first wrong type, and draws no uid.
     """
     if (elems.__class__ is list or elems.__class__ is tuple) and len(elems) == 1:
         uniq = elems
@@ -264,14 +271,23 @@ def make_set(elems: Iterable[SetHandle]) -> SetHandle:
                 key = uniq
                 h = _table.get(key)
             if h is None:
-                children = tuple(sorted(uniq, key=_shortlex))
+                try:
+                    children = tuple(sorted(uniq, key=_shortlex))
+                except AttributeError:
+                    _require_set(*uniq)
+                    raise
                 # setdefault keeps insert-if-absent atomic; a racing duplicate loses
-                h = _table.setdefault(key, SetHandle(next(_ids), children))
+                h = _table.setdefault(key, SetHandle(children))
             return h
     (e,) = uniq
     h = _single.get(e)
     if h is None:
-        h = _single.setdefault(e, SetHandle(next(_ids), (e,)))
+        try:
+            h = SetHandle((e,))
+        except AttributeError:
+            _require_set(e)
+            raise
+        h = _single.setdefault(e, h)
     return h
 
 
@@ -363,19 +379,29 @@ def fold(
     h: SetHandle,
     f: Callable[[SetHandle, list[T]], T],
     memo: dict[SetHandle, T],
+    floor: int = -1,
 ) -> T:
-    """f(node, [values of node's children]) once per distinct subterm of h.
+    """f(node, [values of node's children]) once per distinct subterm of h
+    ranked above floor.
 
     Children are folded before their parents, depth first in element order.
     Nodes already in memo are leaves: their value is taken as is and they are
-    not descended into.  Every computed value is stored in memo, and memo[h]
-    is returned.  The walk keeps its own stack, so depth is not limited by
-    the interpreter's recursion limit.  A run of one-element sets below a
-    node, such as a successor chain, is walked down in one loop and folded
-    back up in another, with one stack entry for the whole run, not one per
-    level.
+    not descended into.  A node ranked at or below floor and not in memo is
+    not descended into or passed to f either: it stands for itself (memo
+    keeps it so), also as the result when it is h.  A walk that looks for a
+    set passes that set's rank, since only sets ranked above it can hold
+    it; the default, -1, prunes nothing.  Every computed value is stored in
+    memo, and memo[h] is returned.  The walk keeps its own stack, so depth is
+    not limited by the interpreter's recursion limit.  A run of one-element
+    sets below a node, such as a successor chain, is walked down in one loop
+    and folded back up in another, with one stack entry for the whole run,
+    not one per level.  Each level of a run ranks one below the last, so the
+    levels left above the floor are counted, not read off each rank.
     """
     if h not in memo:
+        if h.rank <= floor:
+            return h
+        value = memo.__getitem__
         # an entry is (node, children to visit, the run of singletons above node)
         stack = [(h, iter(h.children), None)]
         while stack:
@@ -383,24 +409,30 @@ def fold(
             for c in todo:
                 if c in memo:
                     continue
+                if c.rank <= floor:
+                    memo[c] = c
+                    continue
                 kids = c.children
                 run = None
-                if len(kids) == 1 and kids[0] not in memo:
+                if len(kids) == 1 and kids[0] not in memo and c.rank > floor + 1:
                     # walk down the run to the first node that needs a frame
-                    # of its own: a singleton whose element is in memo, or
-                    # a node that is not a singleton
+                    # of its own: a singleton whose element is in memo or at
+                    # the floor, or a node that is not a singleton; n counts
+                    # the levels left above the floor
                     run = [c]
                     c = kids[0]
                     kids = c.children
-                    while len(kids) == 1 and kids[0] not in memo:
+                    n = c.rank - floor - 1
+                    while n and len(kids) == 1 and kids[0] not in memo:
                         run.append(c)
                         c = kids[0]
                         kids = c.children
+                        n -= 1
                 stack.append((c, iter(kids), run))
                 break
             else:
                 stack.pop()
-                v = memo[node] = f(node, [memo[c] for c in node.children])
+                v = memo[node] = f(node, [*map(value, node.children)])
                 if above is not None:
                     for r in reversed(above):
                         v = memo[r] = f(r, [v])

@@ -335,9 +335,11 @@ def _canonical(g: StructureGraph) -> tuple[tuple, list[int]]:
                     break
                 fixed += 1
             # gamma fixes the first path down to depth `fixed`: its orbits
-            # hold for the children of the first-path nodes up to there
+            # hold for the children of the first-path nodes up to there.  A
+            # vertex gamma fixes is already in its own orbit
+            moved = [v for v in range(n) if gamma[v] != v]
             for parent in orbits[: fixed + 1]:
-                for v in range(n):
+                for v in moved:
                     a, b = _find(parent, v), _find(parent, gamma[v])
                     if a != b:
                         parent[max(a, b)] = min(a, b)

@@ -169,15 +169,27 @@ class TestHasBottom:
 
 
 def _check_bottoms(x, a):
-    """has_bottom on every constituent of x, and max_with_bottom(x, a),
-    against the text oracle."""
+    """has_bottom and remove_bottom on every constituent of x, and
+    max_with_bottom, max_with_bottom_unique and replace on (x, a), against
+    the text oracle."""
     found = []
     for c in oracle.constituents(x.text):
         expected = oracle.has_bottom(c, a.text)
         assert has_bottom(parse(c), a) == expected
         if expected:
             found.append(c)
-    assert max_with_bottom(x, a) is parse(oracle.make(oracle.maximal(found)))
+            assert remove_bottom(parse(c), a) is parse(oracle.replace(c, a.text, oracle.EMPTY))
+        else:
+            with pytest.raises(NotABottom):
+                remove_bottom(parse(c), a)
+    maximal = oracle.maximal(found)
+    assert max_with_bottom(x, a) is parse(oracle.make(maximal))
+    if len(maximal) == 1:
+        assert max_with_bottom_unique(x, a) is parse(maximal[0])
+    else:
+        with pytest.raises(NotUnique if maximal else NoneFound):
+            max_with_bottom_unique(x, a)
+    assert replace(x, a, vn(2)) is parse(oracle.replace(x.text, a.text, vn(2).text))
 
 
 class TestBottomOracle:
@@ -193,8 +205,23 @@ class TestBottomOracle:
         for i in range(0, 12, 3):
             x, y, z = small[i : i + 3]
             t = make_tuple([make_tuple([x, make_tuple([y, z])]), y])
+            # beside entries ranked below every marker and above them all
+            u = make_tuple([empty(), make_tuple([x, zermelo(9), make_tuple([zermelo(1), z])])])
             for p in markers:
                 _check_bottoms(t, p)
+                _check_bottoms(u, p)
+
+    def test_sets_that_are_not_constituents(self, corpus200):
+        # a drawn from the corpus, a marker, and sets ranked above all of x
+        checked = 0
+        for i, x in enumerate(corpus200[:40]):
+            for a in (corpus200[-1 - i], position(2), make_set([x]), zermelo(x.rank + 2)):
+                if not oracle.is_constituent(a.text, x.text):
+                    _check_bottoms(x, a)
+                    assert max_with_bottom(x, a) is empty()
+                    assert replace(x, a, vn(2)) is x
+                    checked += 1
+        assert checked > 120
 
     def test_constituents_strictly_inside_the_bottom(self, corpus200):
         for a in corpus200[:40] + [position(2), position_path([1, 0])]:
@@ -266,7 +293,7 @@ class TestRemoveBottom:
             assert remove_bottom(compose(x, y), y) is x
 
     def test_looks_for_the_bottom_once(self, corpus200, monkeypatch):
-        # has_bottom finds a inside b; the substitution does not look again
+        # has_bottom's one walk finds a inside b; nothing looks for it again
         x, a = corpus200[3], corpus200[-4]
         b = compose(x, a)
         calls = []
@@ -275,7 +302,7 @@ class TestRemoveBottom:
             conset.algebra, "is_constituent", lambda *args: calls.append(args) or real(*args)
         )
         got = remove_bottom(b, a)
-        assert calls == [(a, b)]
+        assert calls == []
         assert got.text == oracle.replace(b.text, a.text, oracle.EMPTY)
 
 

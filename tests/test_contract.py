@@ -140,6 +140,9 @@ WRONG_TYPES = [
     (graph_product, (POINT, 5)),
     (to_dot, (5,)),
     (to_json, (5,)),
+    # no intern entry is found by an int, so make_set checks these on its miss path
+    (make_set, ([5],)),
+    (make_set, ([EMPTY, 5],)),
     (parse, (5,)),
     (parse, (b"{}",)),
     (to_text, (5,)),

@@ -177,7 +177,7 @@ class TestInternKey:
     def test_an_int_key_is_no_element(self):
         k = next(key for key in conset.kernel._table if isinstance(key, int))
         for elems in ([k], (k,), iter([k]), frozenset([k]), [k, k], [k, empty()]):
-            with pytest.raises(AttributeError):
+            with pytest.raises(TypeError, match=r"got int\b"):
                 make_set(elems)
         assert k not in conset.kernel._single
 
@@ -456,6 +456,107 @@ class TestFold:
         r = replace(zermelo(n), zermelo(7), vn(2))
         assert r.rank == n - 7 + 2
         assert r is _wrap(vn(2), n - 7)
+
+
+def _reached(h, memo, floor):
+    """The nodes a fold of h with this memo and floor passes to f: every
+    constituent reached without entering a memo node, ranked above floor."""
+    found, stack = set(), [h]
+    while stack:
+        w = stack.pop()
+        if w in memo or w in found or w.rank <= floor:
+            continue
+        found.add(w)
+        stack.extend(w.children)
+    return found
+
+
+class TestFoldFloor:
+    """A fold with a floor computes what the unpruned fold computes when the
+    nodes at or below the floor are seeded as themselves, and nothing else."""
+
+    @staticmethod
+    def shapes(corpus):
+        fan = make_set([_wrap(diamond(), k) for k in range(0, 30, 3)] + [vn(4)])
+        return corpus + [zermelo(60), vn(8), fan, make_set([zermelo(40), fan])]
+
+    @staticmethod
+    def check(h, start, floor):
+        """fold h from start with floor; the calls and values against the
+        unpruned fold seeded with each node at or below floor as itself."""
+        def f(node, vals):
+            calls.append(node)
+            return node.uid, tuple(vals)
+
+        calls = []
+        memo = dict(start)
+        top = fold(h, f, memo, floor)
+        pruned, pruned_calls = calls, []
+        seeded = {c: c for c in constituent_set(h) if c.rank <= floor}
+        seeded.update(start)
+        calls = pruned_calls
+        full = fold(h, f, seeded)
+        assert pruned == pruned_calls
+        assert set(pruned) == _reached(h, start, floor)
+        assert len(pruned) == len(set(pruned))
+        for node in pruned:
+            assert memo[node] == seeded[node]
+        assert top == full
+        return len(pruned)
+
+    def test_corpus_fans_and_chains(self, corpus200):
+        counts = []
+        for h in self.shapes(corpus200[:60]):
+            for floor in range(-1, h.rank + 1, max(1, h.rank // 4)):
+                pool = sorted(constituent_set(h), key=_shortlex)
+                below = [c for c in pool if c.rank < floor][:1]
+                at = [c for c in pool if c.rank == floor][:1]
+                above = [c for c in pool if c.rank > floor and c is not h][-1:]
+                for keys in ([], below, at, above, below + at + above):
+                    counts.append(self.check(h, {k: "k" for k in keys}, floor))
+        assert len(counts) > 1500 and sum(counts) > 5000
+
+    @pytest.mark.parametrize(
+        "shape, floor, keys, calls",
+        [
+            ("zermelo(60)", 20, (), 40),
+            ("zermelo(60)", 20, ("zermelo(30)",), 30),
+            ("zermelo(60)", 20, ("zermelo(10)",), 40),
+            ("zermelo(60)", 60, (), 0),
+            ("vn(8)", 3, (), 5),
+            # vn(8) down to vn(4), and vn(0..2) beside vn(3) in vn(4)
+            ("vn(8)", -1, ("vn(3)",), 8),
+            # the root and the one shared chain of singletons from rank 11 up
+            ("fan", 10, (), 21),
+            ("fan", 10, ("diamond",), 21),
+        ],
+    )
+    def test_pinned_counts(self, shape, floor, keys, calls):
+        fan = make_set([_wrap(diamond(), k) for k in range(0, 30, 3)] + [vn(4)])
+        named = {
+            "zermelo(60)": zermelo(60),
+            "zermelo(30)": zermelo(30),
+            "zermelo(10)": zermelo(10),
+            "vn(8)": vn(8),
+            "vn(3)": vn(3),
+            "fan": fan,
+            "diamond": diamond(),
+        }
+        assert self.check(named[shape], {named[k]: 0 for k in keys}, floor) == calls
+
+    def test_root_at_the_floor_stands_for_itself(self):
+        memo = {}
+        assert fold(vn(3), lambda w, vals: 1 / 0, memo, 3) is vn(3)
+        assert memo == {}
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_fresh_chain_5000_deep_folds_only_above_the_floor(self):
+        h = _wrap(_fresh(), 5000)
+        calls = []
+        top = fold(h, lambda w, vals: calls.append(w) or w, {}, h.rank - 10)
+        assert top is h
+        assert len(calls) == 10
+        assert calls[-1] is h and calls[0].rank == h.rank - 9
 
 
 class TestElements:

@@ -9,13 +9,21 @@ import pytest
 import conset.algebra
 import conset.kernel
 from conset import (
+    NoneFound,
     NoSuchPosition,
+    NotABottom,
     compose,
     compose_all,
     constituents,
     is_constituent,
     make_set,
     empty,
+    has_bottom,
+    max_with_bottom,
+    max_with_bottom_unique,
+    parse,
+    remove_bottom,
+    replace,
 )
 from conset.numerals import vn, zermelo
 from conset.tuples import (
@@ -37,6 +45,7 @@ from conset.tuples import (
     position_path,
 )
 from conset.corpus import generate
+from _oracles import oracle
 from conset.fusion import validate_top
 
 
@@ -326,7 +335,89 @@ class TestGetAt:
             get_at(t, [0, 1])
 
 
-class TestKuratowskiPair:
+def _nested(rng, pool, depth):
+    """A tuple nested depth deep, the path to one entry of its innermost
+    tuple, and that entry.  Every level has siblings of rank 0 and 1, which
+    sit no higher than the marker sought, and of rank 9 and 10, which sit
+    above it."""
+    low, high = [empty(), zermelo(1)], [zermelo(9), vn(4), make_set([zermelo(9)])]
+    entries = [rng.choice(pool), rng.choice(low), rng.choice(high)]
+    rng.shuffle(entries)
+    i = rng.randrange(3)
+    path, target, t = [i], entries[i], make_tuple(entries)
+    for _ in range(depth - 1):
+        outer = [rng.choice(low), rng.choice(high)]
+        j = rng.randrange(3)
+        outer.insert(j, t)
+        path.append(j)
+        t = make_tuple(outer)
+    return t, path, target
+
+
+class TestExtractionAboveTheMarker:
+    """get_at, and the bottom queries it is built on, against the text
+    oracle on nested tuples whose other entries rank above and below the
+    marker sought, and on markers that are not there."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_nested_tuples(self, corpus200, depth):
+        rng = random.Random(depth)
+        pool = [h for h in corpus200 if len(h.text) <= 24]
+        for _ in range(6):
+            t, path, e = _nested(rng, pool, depth)
+            marker = position_path(path)
+            cons = oracle.constituents(t.text)
+            held = [c for c in cons if oracle.has_bottom(c, marker.text)]
+            (top,) = oracle.maximal(held)
+            assert top == compose(e, marker).text
+            assert max_with_bottom(t, marker) is make_set([parse(top)])
+            assert max_with_bottom_unique(t, marker) is parse(top)
+            occupant = oracle.replace(top, marker.text, oracle.EMPTY)
+            assert remove_bottom(parse(top), marker) is parse(occupant)
+            assert get_at(t, path) is parse(occupant) is e
+            assert has_bottom(t, marker) is oracle.has_bottom(t.text, marker.text)
+            for y in (marker, zermelo(1), zermelo(9)):
+                want = oracle.replace(t.text, y.text, vn(2).text)
+                assert replace(t, y, vn(2)) is parse(want)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_markers_that_are_not_there(self, corpus200, depth):
+        rng = random.Random(10 + depth)
+        pool = [h for h in corpus200 if len(h.text) <= 24]
+        t, path, _ = _nested(rng, pool, depth)
+        for absent in ([5] * depth, [0] * (depth + 1)):
+            a = position_path(absent)
+            assert not oracle.is_constituent(a.text, t.text)
+            with pytest.raises(NoSuchPosition):
+                get_at(t, absent)
+        # and a set ranked above the whole tuple
+        for a in (position_path([5] * depth), make_set([t]), zermelo(t.rank + 3)):
+            assert has_bottom(t, a) is oracle.has_bottom(t.text, a.text) is False
+            assert max_with_bottom(t, a) is empty()
+            with pytest.raises(NoneFound):
+                max_with_bottom_unique(t, a)
+            with pytest.raises(NotABottom):
+                remove_bottom(t, a)
+            assert replace(t, a, vn(2)) is t
+
+    def test_the_bottom_walk_computes_only_above_the_marker(self, monkeypatch):
+        # {} at slot 0 and {{}} at slot 0 of the inner tuple rank no higher
+        # than the marker sought once placed, so the walk leaves them alone,
+        # with every marker; the two copies of zermelo(9) rank above it
+        t = make_tuple([empty(), make_tuple([zermelo(1), vn(3), zermelo(9)]), zermelo(9)])
+        marker = position_path([1, 1])
+        computed = []
+        held = conset.algebra._held
+        monkeypatch.setattr(
+            conset.algebra, "_held", lambda w, kids: computed.append(w) or held(w, kids)
+        )
+        assert get_at(t, [1, 1]) is vn(3)
+        above = [c for c in constituents(t) if c.rank > marker.rank]
+        assert sorted(computed, key=lambda c: c.uid) == sorted(above, key=lambda c: c.uid)
+        assert len(computed) == 21
+        assert len(constituents(t)) == 45
+
+
     def test_simplest_pair_is_the_marker(self):
         assert kuratowski_pair(zermelo(1), zermelo(0)) is diamond()
 
