@@ -24,7 +24,7 @@ below the set they look for.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NoReturn, TypeVar
 
 from .errors import MalformedText
 
@@ -315,48 +315,98 @@ def to_text(h: SetHandle, memo: dict[SetHandle, str] | None = None) -> str:
     return t
 
 
+# str.translate deletes these; anything left over is whitespace or an error
+_BRACE_TEXT = str.maketrans("", "", "{},")
+
+
 def parse(text: str) -> SetHandle:
     """Parse brace text into a canonical handle.
 
     Whitespace between tokens is ignored.  The input need not be canonical:
     element order and duplicates are normalized during construction.
+
+    The text is checked by string operations: whitespace is dropped only
+    when something besides braces and commas is present; what remains must
+    start with "{", end with "}", hold nothing but braces and commas, and
+    contain none of "}{", "{,", ",}" and ",,".  It is then read with each
+    "{}" as one token and the commas dropped, since every comma now lies
+    between two elements: a leaf is {}, "{" opens a set and "}" builds it
+    with make_set.  A text that fails a check, closes more than it opens,
+    leaves a set open or holds more than one set is passed to _malformed,
+    which raises MalformedText naming the first offending offset.
     """
     if not isinstance(text, str):
         raise TypeError(f"parse takes a str, got {type(text).__name__}")
+    t = text
+    if t.translate(_BRACE_TEXT):
+        t = "".join(t.split())
+        if t.translate(_BRACE_TEXT):
+            _malformed(text)
+    if (
+        t[:1] != "{"
+        or t[-1:] != "}"
+        or "}{" in t
+        or "{," in t
+        or ",}" in t
+        or ",," in t
+    ):
+        _malformed(text)
     stack: list[list[SetHandle]] = []
-    expect_item = True
-    result: SetHandle | None = None
+    items: list[SetHandle] = []
+    for ch in t.replace("{}", "0").replace(",", ""):
+        if ch == "0":
+            items.append(EMPTY)
+        elif ch == "{":
+            stack.append(items)
+            items = []
+        else:
+            h = make_set(items)
+            try:
+                items = stack.pop()
+            except IndexError:
+                # a close with nothing open
+                _malformed(text)
+            items.append(h)
+    if stack or len(items) != 1:
+        _malformed(text)
+    return items[0]
+
+
+def _malformed(text: str) -> NoReturn:
+    """Raise MalformedText for the first fault in text, by its offset.
+
+    parse calls this only for a text that is not one set: it failed a string
+    check, or its reading closed a set that was not open, left one open or
+    ended with more than one.  So every text given here is malformed, and
+    the walk raises at the first character that no set text could have
+    there, or else, at the end, for a set left open or never begun.  It
+    reads a character at a time, keeping the nesting depth and the last
+    token, and builds nothing.
+    """
+    depth = 0
+    last = ""
     for i, ch in enumerate(text):
         if ch.isspace():
             continue
-        if result is not None:
+        if last and not depth:
             raise MalformedText(f"trailing input at offset {i}")
         if ch == "{":
-            if not expect_item:
+            if last == "}":
                 raise MalformedText(f"missing comma before offset {i}")
-            stack.append([])
-            expect_item = True
+            depth += 1
         elif ch == "}":
-            if not stack:
+            if not depth:
                 raise MalformedText(f"unmatched close brace at offset {i}")
-            if expect_item and stack[-1]:
+            if last == ",":
                 raise MalformedText(f"dangling comma before offset {i}")
-            items = stack.pop()
-            h = make_set(items) if items else EMPTY
-            if stack:
-                stack[-1].append(h)
-            else:
-                result = h
-            expect_item = False
+            depth -= 1
         elif ch == ",":
-            if expect_item or not stack:
+            if last != "}" or not depth:
                 raise MalformedText(f"misplaced comma at offset {i}")
-            expect_item = True
         else:
             raise MalformedText(f"unexpected character {ch!r} at offset {i}")
-    if result is None:
-        raise MalformedText("unterminated set text")
-    return result
+        last = ch
+    raise MalformedText("unterminated set text")
 
 
 def elements(h: SetHandle) -> list[SetHandle]:

@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import _substitute, compose, max_with_bottom_unique
 from .errors import NoneFound, NoSuchPosition, NotAStructure
-from .kernel import EMPTY, SetHandle, is_constituent, make_set
+from .kernel import EMPTY, SetHandle, _require_set, is_constituent, make_set
 from .numerals import _unwrap, _wrap, as_zermelo, zermelo
 
 __all__ = [
@@ -125,11 +125,13 @@ def make_tuple(entries: Sequence[SetHandle]) -> SetHandle:
 
 def contains_position(t: SetHandle, coords: Sequence[int]) -> bool:
     """Whether the nested slot's marker occurs anywhere inside t."""
+    _require_set(t)
     return is_constituent(position_path(coords), t)
 
 
 def constituent_at(t: SetHandle, coords: Sequence[int], s: SetHandle) -> bool:
     """Whether s (or the occupant it is part of) sits at the given slot."""
+    _require_set(t)
     return is_constituent(compose(s, position_path(coords)), t)
 
 
@@ -173,6 +175,7 @@ def decode_kuratowski(h: SetHandle) -> PairDecode:
     and only the element count of the inner set (not its shape) rules the
     second entry; that dependence is flagged.
     """
+    _require_set(h)
     elems = h.children
     if len(elems) == 1:
         (s,) = elems

@@ -74,7 +74,16 @@ from conset.structure import (
     to_dot,
     to_json,
 )
-from conset.tuples import diamond, kuratowski_pair, kuratowski_top, make_tuple, position
+from conset.tuples import (
+    constituent_at,
+    contains_position,
+    decode_kuratowski,
+    diamond,
+    kuratowski_pair,
+    kuratowski_top,
+    make_tuple,
+    position,
+)
 
 from _oracles import branch
 
@@ -131,6 +140,9 @@ WRONG_TYPES = [
     (has_bottom_structure, (EMPTY, 5)),
     (has_bottom_structure, (5, BOTTOM)),
     (structure_of, (5,)),
+    (contains_position, (5, [0])),
+    (constituent_at, (5, [0], EMPTY)),
+    (decode_kuratowski, (5,)),
     (check_graph, (5,)),
     (canonical_cert, (5,)),
     (isomorphic, (5, POINT)),

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -225,6 +226,97 @@ class TestInternKey:
         assert out.stdout == "".join(h.text + "\n" for h in corpus200)
 
 
+WHITESPACE = (" ", "\t", "\n", "\u00a0", "\u2003")
+SPACED_BRACES = ("{", "}", ",", "x") + WHITESPACE
+
+
+@st.composite
+def edited_texts(draw):
+    """A set text, or two joined by a comma, with at most one character
+    deleted, doubled or put in, and whitespace put anywhere: well formed
+    when one set was left alone, malformed near the edit otherwise."""
+    text = ",".join(h.text for h in draw(st.lists(handles(), min_size=1, max_size=2)))
+    # a comma is as likely a place as a brace, and the end is one too
+    at = draw(st.sampled_from(sorted(set(text)) + ["end"]))
+    at = len(text) if at == "end" else draw(st.sampled_from([i for i, ch in enumerate(text) if ch == at]))
+    edit = draw(st.sampled_from(("keep", "delete", "double", "{", "}", ",", "x")))
+    if edit == "delete":
+        text = text[:at] + text[at + 1 :]
+    elif edit == "double":
+        text = text[: at + 1] + text[at:]
+    elif edit != "keep":
+        text = text[:at] + edit + text[at:]
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(WHITESPACE)) + text[at:]
+    return text
+
+
+def _well_formed(text: str) -> bool:
+    """Whether text without whitespace is one brace set, by reducing every
+    innermost set to a 0 until nothing changes."""
+    while True:
+        reduced = re.sub(r"\{(0(,0)*)?\}", "0", text)
+        if reduced == text:
+            return text == "0"
+        text = reduced
+
+
+def _fault_by_characters(text: str) -> str:
+    """The message parse raises for a malformed text: the reading of one
+    character at a time with a count of elements per open set."""
+    counts: list[int] = []
+    expect_item = True
+    done = False
+    for i, ch in enumerate(text):
+        if ch.isspace():
+            continue
+        if done:
+            return f"trailing input at offset {i}"
+        if ch == "{":
+            if not expect_item:
+                return f"missing comma before offset {i}"
+            counts.append(0)
+        elif ch == "}":
+            if not counts:
+                return f"unmatched close brace at offset {i}"
+            if expect_item and counts[-1]:
+                return f"dangling comma before offset {i}"
+            counts.pop()
+            if counts:
+                counts[-1] += 1
+            done = not counts
+        elif ch == ",":
+            if expect_item or not counts:
+                return f"misplaced comma at offset {i}"
+        else:
+            return f"unexpected character {ch!r} at offset {i}"
+        expect_item = ch != "}"
+    return "unterminated set text"
+
+
+# each malformed text with the exact message it raises; the text is the test id
+MALFORMED = [
+    ("", "unterminated set text"),
+    ("{", "unterminated set text"),
+    ("{{},", "unterminated set text"),
+    ("}", "unmatched close brace at offset 0"),
+    ("}{", "unmatched close brace at offset 0"),
+    ("{}{}", "trailing input at offset 2"),
+    ("{{}}}", "trailing input at offset 4"),
+    ("{},", "trailing input at offset 2"),
+    (" {{},\t{}} x", "trailing input at offset 10"),
+    ("{},{}", "trailing input at offset 2"),
+    (",{}", "misplaced comma at offset 0"),
+    ("{,}", "misplaced comma at offset 1"),
+    ("{{},,{}}", "misplaced comma at offset 4"),
+    ("{{},}", "dangling comma before offset 4"),
+    ("{{} {}}", "missing comma before offset 4"),
+    ("{{}\u00a0{}}", "missing comma before offset 4"),
+    ("{x}", "unexpected character 'x' at offset 1"),
+]
+
+
 class TestParse:
     def test_normalizes_child_order(self):
         assert parse("{{{}},{}}") is vn(2)
@@ -249,13 +341,35 @@ class TestParse:
         assert parse(" { } ") is empty()
         assert len(calls) == 2
 
-    @pytest.mark.parametrize(
-        "bad",
-        ["", "{", "}", "{{},", "}{", "{}{}", "{,}", "{x}", "{{}}}", "{},"],
-    )
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(MalformedText):
+    @pytest.mark.parametrize("bad, message", MALFORMED, ids=[bad for bad, _ in MALFORMED])
+    def test_rejects_malformed(self, bad, message):
+        with pytest.raises(MalformedText) as caught:
             parse(bad)
+        assert str(caught.value) == message
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.one_of(st.text(st.sampled_from(SPACED_BRACES), max_size=30), edited_texts()))
+    def test_reads_spaced_text_or_rejects_it(self, text):
+        bare = "".join(text.split())
+        try:
+            h = parse(text)
+        except MalformedText as e:
+            assert not _well_formed(bare)
+            assert str(e) == _fault_by_characters(text)
+        else:
+            assert _well_formed(bare)
+            assert h.text == oracle.canon(bare)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(handles(), st.data())
+    def test_whitespace_anywhere_gives_the_same_set(self, h, data):
+        text = h.text
+        spaces = data.draw(
+            st.lists(st.tuples(st.integers(0, len(text)), st.sampled_from(WHITESPACE)), max_size=8)
+        )
+        for at, ws in sorted(spaces, reverse=True):
+            text = text[:at] + ws + text[at:]
+        assert parse(text) is h
 
 
 class TestText:

@@ -16,6 +16,7 @@ import pytest
 
 from _oracles import permute_graph, replace_by_text
 from conset import (
+    MalformedText,
     StructureGraph,
     as_vn,
     canonical_cert,
@@ -137,6 +138,13 @@ class TestDeepText:
             assert h.size == 2 * h.rank + 2
             assert repr(h) == "<set " + "{" * 22 + "..." + "}" * 22 + ">"
         assert max(peaks) < 64 * 2**20
+
+    def test_spaced_braces_100000_deep(self):
+        # the whitespace path and the fault report both read 10**5 levels
+        text = " ".join("{" * (10**5 + 1) + "}" * (10**5 + 1))
+        assert parse(text) is zermelo(10**5)
+        with pytest.raises(MalformedText, match=r"^unterminated set text$"):
+            parse(text[:-1])
 
     def test_numerals_too_long_to_write_compare_by_structure(self):
         assert isomorphic(structure_of(zermelo(200)), structure_of(vn(200))) is not None
