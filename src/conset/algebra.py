@@ -20,6 +20,7 @@ from .kernel import (
     EMPTY,
     SetHandle,
     _below,
+    _rebuild,
     _require_set,
     constituent_set,
     fold,
@@ -61,10 +62,6 @@ def _substitute(x: SetHandle, table: dict[SetHandle, SetHandle]) -> SetHandle:
         if k.rank < floor:
             floor = k.rank
     return fold(x, _rebuild, table, floor)
-
-
-def _rebuild(w: SetHandle, kids: list[SetHandle]) -> SetHandle:
-    return make_set(kids)
 
 
 def replace(x: SetHandle, y: SetHandle, z: SetHandle) -> SetHandle:

@@ -19,6 +19,12 @@ handle stores its constituents.  What lies inside what is answered by a walk
 over the DAG, bounded by rank: a set lies only inside sets of higher rank, so
 is_constituent, and a fold given a floor, descend into nothing ranked at or
 below the set they look for.
+
+A deep set is mostly runs of one-element sets, such as successor chains.  A
+run is built, rebuilt and printed a run at a time: _wrap builds one level
+per loop step from the singleton table, fold rebuilds the run above a node
+the same way when it substitutes, and the text of a run is written as its
+open braces, its end and its close braces.
 """
 
 from __future__ import annotations
@@ -63,23 +69,31 @@ class SetHandle:
 
     def __init__(self, children: tuple["SetHandle", ...]):
         self.children = children
-        rank = 0
-        instances = 1
-        size = 1 + len(children) if children else 2
-        for c in children:
-            if c.rank >= rank:
-                rank = c.rank + 1
-            instances += c.instances
-            size += c.size
-        self.rank = rank
-        self.instances = instances
-        self.size = size
-        # the elements of a short set are shorter still, so all are stored
-        self._text = (
-            "{" + ",".join([c._text for c in children]) + "}"
-            if size <= _STORED
-            else None
-        )
+        if len(children) == 1:
+            # a level of a run: everything is read off the one element
+            (c,) = children
+            self.rank = c.rank + 1
+            self.instances = c.instances + 1
+            size = self.size = c.size + 2
+            self._text = "{" + c._text + "}" if size <= _STORED else None
+        else:
+            rank = 0
+            instances = 1
+            size = 1 + len(children) if children else 2
+            for c in children:
+                if c.rank >= rank:
+                    rank = c.rank + 1
+                instances += c.instances
+                size += c.size
+            self.rank = rank
+            self.instances = instances
+            self.size = size
+            # the elements of a short set are shorter still, so all are stored
+            self._text = (
+                "{" + ",".join([c._text for c in children]) + "}"
+                if size <= _STORED
+                else None
+            )
         # drawn last, so a child that is not a set draws no uid
         self.uid = next(_ids)
 
@@ -137,7 +151,8 @@ def _render(h: SetHandle) -> str:
     A long constituent met more than once in the text is joined once,
     shorter ones first, and each later meeting costs one piece, so the work
     follows the distinct subterms plus the text's length, and the memory the
-    text's length.
+    text's length.  A run of singletons is printed a run at a time, up to
+    the first level whose text is stored or joined here.
     """
     memo: dict[SetHandle, str | None] = {}
     seen = {h}
@@ -157,26 +172,45 @@ def _render(h: SetHandle) -> str:
 
 
 def _pieces(h: SetHandle, memo: dict[SetHandle, str | None]) -> Iterator[str]:
-    """h's text as stored or memo texts, braces and commas, in text order."""
-    yield "{"
-    stack = [iter(h.children)]
+    """h's text as stored or memo texts, braces and commas, in text order.
+
+    A node whose text is neither stored nor in memo opens a run: the
+    one-element sets below it are followed down to the first that is not
+    one, or whose element has a stored or memo text.  The run's open braces
+    are one piece and its close braces another, so a run costs one step
+    however many levels it has.
+    """
+    # an entry is (the children left to print, the braces that close them)
+    stack: list[tuple[Iterator[SetHandle], str]] = []
+    todo: Iterator[SetHandle] = iter((h,))
+    close = ""
     first = True
-    while stack:
-        for c in stack[-1]:
+    while True:
+        for c in todo:
             if first:
                 first = False
             else:
                 yield ","
             t = c._text or memo.get(c)
-            if t is None:
-                yield "{"
-                stack.append(iter(c.children))
-                first = True
-                break
-            yield t
+            if t is not None:
+                yield t
+                continue
+            n = 1
+            kids = c.children
+            while len(kids) == 1 and (kids[0]._text or memo.get(kids[0])) is None:
+                kids = kids[0].children
+                n += 1
+            yield "{" * n
+            stack.append((todo, close))
+            todo = iter(kids)
+            close = "}" * n
+            first = True
+            break
         else:
-            stack.pop()
-            yield "}"
+            if not stack:
+                return
+            yield close
+            todo, close = stack.pop()
 
 
 # A text longer than 48 characters has 22 before the end of its first (last)
@@ -289,6 +323,29 @@ def make_set(elems: Iterable[SetHandle]) -> SetHandle:
             raise
         h = _single.setdefault(e, h)
     return h
+
+
+def _wrap(n: int, x: SetHandle) -> SetHandle:
+    """x inside n singletons: {...{x}...}.
+
+    The run is built a level at a time from the singleton table, with no
+    make_set call: a level already interned is found by its element, and a
+    missing one is made and interned in place.  As in make_set, an x that is
+    not a set raises TypeError naming its type and draws no uid.
+    """
+    if n < 0:
+        raise ValueError("numerals are non-negative")
+    single = _single
+    try:
+        for _ in range(n):
+            h = single.get(x)
+            if h is None:
+                h = single.setdefault(x, SetHandle((x,)))
+            x = h
+    except (AttributeError, TypeError):
+        _require_set(x)
+        raise
+    return x
 
 
 EMPTY: SetHandle = make_set(())
@@ -425,6 +482,11 @@ def union(a: SetHandle, b: SetHandle) -> SetHandle:
 T = TypeVar("T")
 
 
+def _rebuild(w: SetHandle, kids: list[SetHandle]) -> SetHandle:
+    """The set of the rebuilt children: fold's callback for a substitution."""
+    return make_set(kids)
+
+
 def fold(
     h: SetHandle,
     f: Callable[[SetHandle, list[T]], T],
@@ -446,7 +508,10 @@ def fold(
     sets below a node, such as a successor chain, is walked down in one loop
     and folded back up in another, with one stack entry for the whole run,
     not one per level.  Each level of a run ranks one below the last, so the
-    levels left above the floor are counted, not read off each rank.
+    levels left above the floor are counted, not read off each rank.  When f
+    is _rebuild, the run is rebuilt by _wrap, with no call per level; memo
+    still gets every level, since a level inside the run can also be reached
+    from elsewhere in h.
     """
     if h not in memo:
         if h.rank <= floor:
@@ -483,7 +548,15 @@ def fold(
             else:
                 stack.pop()
                 v = memo[node] = f(node, [*map(value, node.children)])
-                if above is not None:
+                if above is None:
+                    continue
+                if f is _rebuild:
+                    # above lists the run top first; _wrap builds it bottom up
+                    v = _wrap(len(above), v)
+                    for r in above:
+                        memo[r] = v
+                        v = v.children[0]
+                else:
                     for r in reversed(above):
                         v = memo[r] = f(r, [v])
     return memo[h]

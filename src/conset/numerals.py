@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .algebra import compose, map_union
 from .errors import NotANumeral
-from .kernel import EMPTY, SetHandle, fold, make_set
+from .kernel import EMPTY, SetHandle, _require_set, _wrap, fold, make_set
 from .structure import graph_product, simplest_set, structure_of
 
 __all__ = [
@@ -26,15 +26,6 @@ __all__ = [
     "add_vn",
     "mul_structural",
 ]
-
-
-def _wrap(n: int, x: SetHandle) -> SetHandle:
-    """x inside n singletons: {...{x}...}."""
-    if n < 0:
-        raise ValueError("numerals are non-negative")
-    for _ in range(n):
-        x = make_set([x])
-    return x
 
 
 def _unwrap(h: SetHandle) -> tuple[int, SetHandle]:
@@ -73,6 +64,7 @@ def vn(n: int) -> SetHandle:
 
 def as_zermelo(h: SetHandle) -> int | None:
     """Value of a successor numeral, or None when h is not one."""
+    _require_set(h)
     n, core = _unwrap(h)
     return n if core is EMPTY else None
 
@@ -83,6 +75,7 @@ def as_vn(h: SetHandle) -> int | None:
     Walks the structure instead of rebuilding candidate numerals, so junk
     input of any size is rejected cheaply.
     """
+    _require_set(h)
     return fold(h, _vn_value, {EMPTY: 0})
 
 

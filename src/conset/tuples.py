@@ -18,8 +18,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import _substitute, compose, max_with_bottom_unique
 from .errors import NoneFound, NoSuchPosition, NotAStructure
-from .kernel import EMPTY, SetHandle, _require_set, is_constituent, make_set
-from .numerals import _unwrap, _wrap, as_zermelo, zermelo
+from .kernel import EMPTY, SetHandle, _require_set, _wrap, is_constituent, make_set
+from .numerals import _unwrap, as_zermelo, zermelo
 
 __all__ = [
     "diamond",

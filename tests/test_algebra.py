@@ -13,6 +13,7 @@ from conset import (
     NotUnique,
     compose,
     compose_all,
+    constituent_set,
     constituents,
     empty,
     has_bottom,
@@ -34,8 +35,10 @@ from conset import (
     with_top,
     with_top_unique,
 )
+from conset.kernel import _rebuild, fold
 from conset.numerals import as_vn, vn, zermelo
 from conset.tuples import make_tuple, position, position_path
+from test_kernel import _fresh, _uids_drawn, _wrap
 
 
 class TestReplace:
@@ -147,6 +150,33 @@ class TestCompose:
 
     def test_compose_all_empty_list(self):
         assert compose_all([]) is empty()
+
+
+class TestRunRebuild:
+    """A substitution rebuilds a run of singletons level by level from the
+    kernel's singleton table: one new handle per new level, none twice."""
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 400])
+    def test_compose_on_a_fresh_set_draws_one_uid_per_level(self, d):
+        z, s = zermelo(d), _fresh()
+        got, drawn = _uids_drawn(lambda: compose(z, s))
+        assert drawn == d
+        assert got is _wrap(s, d)
+
+    def test_shared_interiors_are_rebuilt_once(self):
+        core = vn(3)
+        x = make_set([_wrap(core, k) for k in range(0, 300, 7)])
+        fresh = _fresh()
+        got, drawn = _uids_drawn(lambda: replace(x, core, fresh))
+        assert got is oracles.replace_by_text(x, core, fresh)
+        # the levels 1 to 294 over fresh and the new root
+        assert drawn == len(constituent_set(got) - constituent_set(fresh)) == 295
+        # every level of the longest run is in the memo, so the shorter
+        # runs end on it and no level is made twice
+        memo = {core: fresh}
+        fold(x, _rebuild, memo, core.rank)
+        for k in range(1, 295):
+            assert memo[_wrap(core, k)] is _wrap(fresh, k)
 
 
 class TestHasBottom:

@@ -58,7 +58,17 @@ from conset.fusion import (
     validate_top,
 )
 from conset.kernel import EMPTY, make_set, parse, to_text
-from conset.numerals import vn, zermelo
+from conset.numerals import (
+    add_vn,
+    add_zermelo,
+    as_vn,
+    as_zermelo,
+    is_vn,
+    is_zermelo,
+    mul_structural,
+    vn,
+    zermelo,
+)
 from conset.structure import (
     POINT,
     StructureGraph,
@@ -161,6 +171,13 @@ WRONG_TYPES = [
     (zermelo, ("3",)),
     (vn, ("a",)),
     (vn, (2.0,)),
+    (as_zermelo, (5,)),
+    (as_vn, (5,)),
+    (is_zermelo, (5,)),
+    (is_vn, (5,)),
+    (add_zermelo, (5, EMPTY)),
+    (add_vn, (EMPTY, 5)),
+    (mul_structural, (5, EMPTY)),
 ]
 
 

@@ -35,7 +35,7 @@ from conset import (
     to_text,
     union,
 )
-from conset.kernel import _shortlex, fold
+from conset.kernel import EMPTY, _shortlex, fold
 from conset.numerals import vn, zermelo
 from conset.tuples import diamond
 
@@ -434,6 +434,86 @@ class TestTextOnDemand:
         monkeypatch.undo()
         assert texts == [c.text for c in hs]
         assert sorted(joined, key=id) == sorted({c for c in hs if c.size > 48}, key=id)
+
+
+def _uids_drawn(op):
+    """op() and the number of uids it drew: one for each handle it made."""
+    ids = conset.kernel._ids
+    before = next(ids)
+    result = op()
+    return result, next(ids) - before - 1
+
+
+class TestRuns:
+    """Runs of one-element sets are built by one kernel loop and printed a
+    run at a time, with the texts and the handles the level-by-level path
+    gives."""
+
+    @staticmethod
+    def shapes():
+        wide = make_set([zermelo(30), vn(4), diamond(), _wrap(vn(3), 9)])
+        long = _wrap(vn(3), 40)
+        return {
+            # the run stops at a level whose text is stored
+            "run ending in a stored text": _wrap(vn(3), 60),
+            # long is met more than once, so its text is joined once and
+            # each run above it stops there
+            "long constituent met twice": make_set([_wrap(long, 5), long, _wrap(long, 2)]),
+            "runs in and under a wide node": make_set([_wrap(wide, 25), zermelo(70)]),
+        }
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["run ending in a stored text", "long constituent met twice", "runs in and under a wide node"],
+    )
+    def test_text_with_and_without_memo(self, shape):
+        x = self.shapes()[shape]
+        want = oracles.text_by_recursion(x)
+        assert x.text == want
+        assert to_text(x, {}) == want
+        memo: dict = {}
+        for c in constituents(x):
+            assert to_text(c, memo) == oracles.text_by_recursion(c)
+        assert to_text(x, memo) == want
+
+    def test_a_run_is_the_braces_around_its_end(self):
+        ends = [vn(3), _wrap(vn(3), 40), make_set([zermelo(30), vn(4)])]
+        for end in ends:
+            for k in (1, 2, 23, 24, 300):
+                assert _wrap(end, k).text == "{" * k + end.text + "}" * k
+
+    def test_a_run_stops_at_a_memo_text(self):
+        # a memo text is read back where the run meets it, not walked again
+        long = _wrap(vn(3), 40)
+        assert to_text(_wrap(long, 30), {long: "L"}) == "{" * 30 + "L" + "}" * 30
+
+    def test_builder_finds_and_builds_what_make_set_does(self):
+        core = _fresh()
+        assert conset.kernel._wrap(0, core) is core
+        built, drawn = _uids_drawn(lambda: conset.kernel._wrap(300, core))
+        assert drawn == 300
+        assert built is _wrap(core, 300)
+        assert built.rank == core.rank + 300
+        assert built.size == core.size + 600
+        assert built.instances == core.instances + 300
+        again, drawn = _uids_drawn(lambda: conset.kernel._wrap(300, core))
+        assert again is built and drawn == 0
+        for k in (1, 23, 24):
+            h = conset.kernel._wrap(k, EMPTY)
+            assert h is zermelo(k)
+            assert h._text == ("{" * k + "{}" + "}" * k if h.size <= 48 else None)
+
+    @pytest.mark.parametrize("x", [5, "a", None, [EMPTY]])
+    def test_builder_refuses_a_non_set_and_draws_no_uid(self, x):
+        def build():
+            with pytest.raises(TypeError, match=rf"\bgot {type(x).__name__}\b"):
+                conset.kernel._wrap(3, x)
+
+        assert _uids_drawn(build)[1] == 0
+
+    def test_builder_refuses_a_negative_count(self):
+        with pytest.raises(ValueError):
+            conset.kernel._wrap(-1, EMPTY)
 
 
 class TestOrderFromStructure:
