@@ -11,6 +11,13 @@ middle structure grounds both sides, turning its branches into a plain set.
 The double-turnstile queries ask whether such a decomposition exists at all,
 with exact verification: the top query searches assignments under a budget,
 the bottom query walks x once.
+
+A structure record is a reading of its set, and each function here that
+takes one checks it against that set.  The readings behind the last 8 to 15
+middle records that this module returned are remembered, so a middle passed
+straight back to close or fuse_middle, as in
+close(fuse_middle(middle(a), middle(b))), is not read again; any other
+record, and every bare set, is read.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .kernel import (
     fold,
     make_set,
 )
+from .numerals import _require_int
 from .tuples import _branch, _parse_marker, _positions, _slot
 
 __all__ = [
@@ -85,6 +93,27 @@ class MiddleStructure(NamedTuple):
     set: SetHandle
     arity: int
     offset: int = 0
+
+
+# The middles that _middle returned last, with the bottom reading each came
+# with, in two tables: the newer one fills to _BLOCK entries and then becomes
+# the older, whose entries are dropped.  So a middle is kept through at least
+# _BLOCK - 1 later ones and gone after 2 * _BLOCK - 1.  The pair is replaced
+# in one assignment, so a thread can lose a reading but never find a wrong one.
+_MIDDLES: tuple[dict, dict] = ({}, {})
+_BLOCK = 8
+
+
+def _remember(
+    m: MiddleStructure, b: BottomStructure
+) -> tuple[MiddleStructure, BottomStructure]:
+    """Keep (m, b) as what _middle returned for m; return it."""
+    global _MIDDLES
+    newer = _MIDDLES[0]
+    newer[m] = reading = m, b
+    if len(newer) >= _BLOCK:
+        _MIDDLES = ({}, newer)
+    return reading
 
 
 def _require_record(r: object) -> None:
@@ -165,6 +194,7 @@ def _require_contiguous(ks: list[int], offset: int) -> None:
 def top_structure(h: SetHandle, offset: int = 0) -> TopStructure:
     """Validate h as a top structure (strict: raises NotAStructure)."""
     _require_set(h)
+    _require_int(offset, "offset")
     slots, bypass, _ = _read(h)
     return TopStructure(set=h, arity=_top_arity(slots, bypass, offset), offset=offset)
 
@@ -189,6 +219,7 @@ def bottom_structure(h: SetHandle, offset: int = 0) -> BottomStructure:
     some marker automatically, which is the no-bypass condition.)
     """
     _require_set(h)
+    _require_int(offset, "offset")
     if h is EMPTY:
         raise NotAStructure("the empty set carries no markers")
     return _bottom(h, offset, _maximal_proper(h))
@@ -221,6 +252,7 @@ def _middle(h: SetHandle, offset: int) -> tuple[MiddleStructure, BottomStructure
     markers close and fuse_middle read without parsing them again.  One walk
     reads h for both readings; the top is checked first."""
     _require_set(h)
+    _require_int(offset, "offset")
     slots, bypass, maximal = _read(h)
     arity = _top_arity(slots, bypass, offset)
     b = _bottom(h, offset, maximal)
@@ -228,7 +260,7 @@ def _middle(h: SetHandle, offset: int) -> tuple[MiddleStructure, BottomStructure
         raise NotAStructure(f"slot arity {arity} differs from marker arity {b.arity}")
     if any(_slot(m) is not None for m in b.markers):
         raise NotAStructure("a bare position marker doubles as a branch marker")
-    return MiddleStructure(set=h, arity=arity, offset=offset), b
+    return _remember(MiddleStructure(set=h, arity=arity, offset=offset), b)
 
 
 def _or_none(
@@ -270,16 +302,31 @@ def _recheck(v: S, r: S) -> S:
 def _as_middle(
     r: SetHandle | MiddleStructure,
 ) -> tuple[MiddleStructure, BottomStructure]:
-    """_as(middle_structure, r) with the bottom reading that check parsed."""
+    """_as(middle_structure, r) with the bottom reading that check parsed.
+
+    A record equal to a middle that _middle returned not long ago gets the
+    reading that middle came with, unread: _middle is pure and handles are
+    interned, so reading the set again would give the same.
+    """
     if isinstance(r, SetHandle):
         return _middle(r, 0)
     _require_record(r)
-    mv, bv = _middle(r.set, r.offset)
-    return _recheck(mv, r), bv
+    # before the lookup, since an offset of 0.0 equals 0 and would find one
+    _require_int(r.offset, "offset")
+    newer, older = _MIDDLES
+    try:
+        reading = newer.get(r) or older.get(r)
+    except TypeError:  # a field no returned middle holds, such as a list
+        reading = None
+    if reading is None:
+        mv, bv = _middle(r.set, r.offset)
+        reading = _recheck(mv, r), bv
+    return reading
 
 
 def bottom_terminal(b: SetHandle | BottomStructure, n: int) -> SetHandle:
     """Branch n of a bottom structure: the marker with its wrapping removed."""
+    _require_int(n, "a marker number")
     bv = _as(bottom_structure, b)
     i = n - bv.offset
     if not 0 <= i < bv.arity:
@@ -342,6 +389,7 @@ def middle(entries: Sequence[SetHandle]) -> MiddleStructure:
 
 def middle_identity(m: int) -> MiddleStructure:
     """The identity for fuse_middle at arity m: all entries empty."""
+    _require_int(m, "an arity")
     if m < 1:
         raise ValueError("arity must be at least 1")
     return middle([EMPTY] * m)
@@ -351,7 +399,7 @@ def middle_permutation(perm: Sequence[int]) -> MiddleStructure:
     """Middle structure wiring slot n straight to marker perm(n)."""
     if sorted(perm) != list(range(len(perm))):
         raise NotAPermutation(f"{list(perm)} is not a permutation of 0..{len(perm) - 1}")
-    slots = list(_positions(len(perm)))
+    slots = _positions(len(perm))
     parts = [_branch(n, slots[p]) for n, p in enumerate(perm)]
     return middle_structure(make_set(parts))
 
@@ -360,7 +408,7 @@ def fuse_middle(
     a: SetHandle | MiddleStructure, b: SetHandle | MiddleStructure
 ) -> MiddleStructure:
     """Fuse a (as top) onto b (as bottom); middle structures form a monoid."""
-    av, bv = _as(middle_structure, a), _as_middle(b)[1]
+    av, bv = _as_middle(a)[0], _as_middle(b)[1]
     if av.arity != bv.arity:
         raise ArityMismatch(f"arity {av.arity} fused with arity {bv.arity}")
     # a middle is a top with the same fields
@@ -460,7 +508,7 @@ def has_bottom_structure(
         raise NotAStructure("decomposition queries require offset-0 markers")
     m = bv.arity
     terms = [_parse_marker(mk)[1] for mk in bv.markers]
-    slots = list(_positions(m))
+    slots = _positions(m)
     inside = _below(slots)
 
     def preimages(w: SetHandle, kids: list[list[SetHandle]]) -> list[SetHandle]:

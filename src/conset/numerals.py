@@ -37,10 +37,11 @@ def _unwrap(h: SetHandle) -> tuple[int, SetHandle]:
     return n, h
 
 
-def _require_int(n: object) -> None:
-    """Raise TypeError, naming the type, unless n is an int (a bool is one)."""
+def _require_int(n: object, what: str = "a numeral") -> None:
+    """Raise TypeError, naming what n is and its type, unless n is an int (a
+    bool is one)."""
     if not isinstance(n, int):
-        raise TypeError(f"a numeral takes an int, got {type(n).__name__}")
+        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
 
 
 def zermelo(n: int) -> SetHandle:

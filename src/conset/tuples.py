@@ -6,20 +6,21 @@ successor numeral), which pads entries apart so no occupant can sit inside
 another.  Extraction finds the unique maximal constituent with the marker at
 its bottom and strips the marker.  This module owns the marker format: slot
 and path markers, and fusion's branch markers, are built directly by their
-shape and read back by their shape, never by composing or searching.  The
-classic two-set pair {{a},{a,b}} is provided with a diagnostic decoder that
+shape and read back by their shape, never by composing or searching; slot
+markers are kept in one table that grows on demand, so each is built once.
+The classic two-set pair {{a},{a,b}} is provided with a diagnostic decoder that
 reports exactly when and why the encoding loses information.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import _substitute, compose, max_with_bottom_unique
 from .errors import NoneFound, NoSuchPosition, NotAStructure
 from .kernel import EMPTY, SetHandle, _require_set, _wrap, is_constituent, make_set
-from .numerals import _unwrap, as_zermelo, zermelo
+from .numerals import _require_int, _unwrap, as_zermelo, zermelo
 
 __all__ = [
     "diamond",
@@ -86,18 +87,43 @@ def diamond() -> SetHandle:
     return _pad(EMPTY)
 
 
+# position(0), position(1), ...: every marker _positions has built.  The list
+# is never changed in place: a longer one is built beside it and the name
+# rebound to it, so a reader sees only lists whose every entry is right.
+_POSITIONS: list[SetHandle] = []
+
+
 def position(n: int) -> SetHandle:
-    """Marker for tuple slot n: the diamond over the successor numeral n."""
+    """Marker for tuple slot n: the diamond over the successor numeral n.
+
+    Read off the table of markers when it already holds slot n, built
+    otherwise; position never grows the table.
+    """
+    _require_int(n, "a slot number")
+    table = _POSITIONS
+    if 0 <= n < len(table):
+        return table[n]
+    if n < 0:
+        raise ValueError(f"slot {n} is negative: numerals are non-negative")
     return _pad(zermelo(n))
 
 
-def _positions(m: int) -> Iterator[SetHandle]:
-    """position(0), ..., position(m - 1), walking up the numeral chain once
-    instead of rebuilding zermelo(n) for each n."""
-    z = EMPTY
-    for _ in range(m):
-        yield _pad(z)
-        z = make_set([z])
+def _positions(m: int) -> list[SetHandle]:
+    """[position(0), ..., position(m - 1)], a slice of the table of markers.
+
+    A table shorter than m is extended by walking up the numeral chain once
+    from its end, and published whole in one step.
+    """
+    global _POSITIONS
+    table = _POSITIONS
+    if len(table) < m:
+        z = zermelo(len(table))
+        tail = []
+        for _ in range(m - len(table)):
+            tail.append(_pad(z))
+            z = _wrap(1, z)
+        _POSITIONS = table = table + tail
+    return table[:m]
 
 
 def position_path(coords: Sequence[int]) -> SetHandle:
@@ -111,9 +137,18 @@ def position_path(coords: Sequence[int]) -> SetHandle:
     if not coords:
         raise ValueError("a position path needs at least one coordinate")
     marker = EMPTY
-    for c in reversed(coords):
-        marker = _pad(_wrap(c, marker))
-    return marker
+    try:
+        for c in reversed(coords):
+            marker = _pad(_wrap(c, marker))
+        return marker
+    except (TypeError, ValueError) as e:
+        refused = e
+    # _wrap refused a coordinate without naming it: name the first bad one
+    for i, c in enumerate(coords):
+        _require_int(c, "a path coordinate")
+        if c < 0:
+            raise ValueError(f"path coordinate {i} is {c}: numerals are non-negative")
+    raise refused
 
 
 def make_tuple(entries: Sequence[SetHandle]) -> SetHandle:

@@ -4,10 +4,14 @@ Hand-built diagrams and fusion records are validated where they enter, so a
 malformed one raises a CalculusError (MalformedGraph, NotAStructure), never a
 bare IndexError, KeyError, AttributeError or AssertionError from deeper
 down; a budget below 1 is a bad argument value (ValueError), and an argument
-of the wrong Python type a TypeError naming its type.  A record is
-re-checked against its own set once, so passing it costs the same scans as
-passing the set.
+of the wrong Python type a TypeError naming its type.  A set is read once; a
+record is checked against its own set once, unless it equals a middle that
+fusion returned not long ago, in which case that middle's reading is used and
+nothing is read.
 """
+
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +54,7 @@ from conset.fusion import (
     has_top_structure,
     match_terminals,
     middle,
+    middle_identity,
     middle_permutation,
     middle_structure,
     top_structure,
@@ -89,10 +94,12 @@ from conset.tuples import (
     contains_position,
     decode_kuratowski,
     diamond,
+    get_at,
     kuratowski_pair,
     kuratowski_top,
     make_tuple,
     position,
+    position_path,
 )
 
 from _oracles import branch
@@ -152,6 +159,7 @@ WRONG_TYPES = [
     (structure_of, (5,)),
     (contains_position, (5, [0])),
     (constituent_at, (5, [0], EMPTY)),
+    (get_at, (5, [0])),
     (decode_kuratowski, (5,)),
     (check_graph, (5,)),
     (canonical_cert, (5,)),
@@ -178,6 +186,28 @@ WRONG_TYPES = [
     (add_zermelo, (5, EMPTY)),
     (add_vn, (EMPTY, 5)),
     (mul_structural, (5, EMPTY)),
+]
+# (op, args, message): an int argument given a value of another type, for
+# every function that takes a slot number, a path, a marker number, an arity
+# or an offset; the message names the argument and the type
+WRONG_INTS = [
+    (position, ("3",), "a slot number must be an int, got str"),
+    (position_path, (["a"],), "a path coordinate must be an int, got str"),
+    (position_path, ([0, 1.0],), "a path coordinate must be an int, got float"),
+    (contains_position, (BOTTOM, ["0"]), "a path coordinate must be an int, got str"),
+    (constituent_at, (BOTTOM, [0.0], EMPTY), "a path coordinate must be an int, got float"),
+    (get_at, (BOTTOM, ["0"]), "a path coordinate must be an int, got str"),
+    (bottom_terminal, (BOTTOM, "x"), "a marker number must be an int, got str"),
+    (middle_identity, (2.0,), "an arity must be an int, got float"),
+    (top_structure, (TOP, "1"), "offset must be an int, got str"),
+    (bottom_structure, (BOTTOM, 0.0), "offset must be an int, got float"),
+    (middle_structure, (EMPTY, "0"), "offset must be an int, got str"),
+    (validate_top, (TOP, 0.0), "offset must be an int, got float"),
+    (validate_bottom, (BOTTOM, "0"), "offset must be an int, got str"),
+    (validate_middle, (EMPTY, 0.0), "offset must be an int, got float"),
+    # a record's offset is checked before the record is looked up
+    (fuse, (TopStructure(TOP, 1, 0.0), BOTTOM), "offset must be an int, got float"),
+    (close, (MiddleStructure(EMPTY, 1, "0"),), "offset must be an int, got str"),
 ]
 
 
@@ -264,6 +294,18 @@ class TestBoundaryCases:
         with pytest.raises(TypeError, match=rf"\bgot\b.*\b{type(wrong).__name__}\b"):
             op(*args)
 
+    @pytest.mark.parametrize("op, args, message", WRONG_INTS, ids=[op.__name__ for op, *_ in WRONG_INTS])
+    def test_wrong_python_type_of_a_number_is_a_type_error(self, op, args, message):
+        # each raised a TypeError from an operator or from range, or none
+        with pytest.raises(TypeError, match=rf"^{message}$"):
+            op(*args)
+
+    def test_negative_coordinate_is_named(self):
+        with pytest.raises(ValueError, match=r"^path coordinate 1 is -1: numerals are non-negative$"):
+            get_at(BOTTOM, [0, -1])
+        with pytest.raises(ValueError, match=r"^slot -2 is negative: numerals are non-negative$"):
+            position(-2)
+
     def test_bottom_record_with_too_few_markers(self):
         lying = BottomStructure(set=make_tuple([Z(0), Z(1)]), arity=2, markers=())
         with pytest.raises(NotAStructure):
@@ -291,27 +333,123 @@ def _scans(monkeypatch, op, *args, reader="_read"):
 
 
 class TestValidatedOnce:
+    # a middle that fusion just returned is not read again; a set always is
     def test_close_scans_its_argument_once(self, monkeypatch):
         m = middle([Z(2), vn(2)])
         assert _scans(monkeypatch, close, m.set) == 1
-        assert _scans(monkeypatch, close, m) == 1
+        assert _scans(monkeypatch, close, m) == 0
         assert close(m) is close(m.set)
 
     def test_fuse_middle_scans_each_side_and_the_result(self, monkeypatch):
         a, b = middle_permutation([1, 0]), middle([Z(1), vn(2)])
         assert _scans(monkeypatch, fuse_middle, a.set, b.set) == 3
-        assert _scans(monkeypatch, fuse_middle, a, b) == 3
+        assert _scans(monkeypatch, fuse_middle, a, b) == 1
         assert fuse_middle(a, b) == fuse_middle(a.set, b.set)
 
     def test_close_parses_its_markers_once(self, monkeypatch):
         m = middle([Z(2), vn(2), EMPTY])
-        for arg in (m.set, m):
-            assert _scans(monkeypatch, close, arg, reader="_bottom") == 1
+        assert _scans(monkeypatch, close, m.set, reader="_bottom") == 1
+        assert _scans(monkeypatch, close, m, reader="_bottom") == 0
 
     def test_fuse_middle_parses_markers_of_each_side_and_the_result_once(self, monkeypatch):
         a, b = middle_permutation([1, 0]), middle([Z(1), vn(2)])
-        for args in ((a.set, b.set), (a, b)):
-            assert _scans(monkeypatch, fuse_middle, *args, reader="_bottom") == 3
+        assert _scans(monkeypatch, fuse_middle, a.set, b.set, reader="_bottom") == 3
+        assert _scans(monkeypatch, fuse_middle, a, b, reader="_bottom") == 1
+
+
+class TestRememberedReadings:
+    @pytest.fixture(autouse=True)
+    def no_readings(self):
+        # each test starts with nothing remembered
+        fusion._MIDDLES = ({}, {})
+
+    def test_a_lying_record_is_read_and_refused(self, monkeypatch):
+        m = middle([Z(2), vn(2)])
+        t, b = top_structure(m.set), bottom_structure(m.set)
+        # each lie keeps the set of a record returned just before it
+        # a list arity cannot be looked up at all
+        for lie in (m._replace(arity=3), m._replace(offset=1), m._replace(arity=[2])):
+            assert _scans(monkeypatch, lambda: pytest.raises(NotAStructure, close, lie)) == 1
+        # equal to m as a tuple, but an offset of another type
+        with pytest.raises(TypeError, match="^offset must be an int, got float$"):
+            close(m._replace(offset=0.0))
+        for lie in (t._replace(arity=1), t._replace(offset=1)):
+            with pytest.raises(NotAStructure):
+                fuse(lie, m.set)
+        for lie in (
+            b._replace(arity=1),
+            b._replace(markers=b.markers[::-1]),
+            b._replace(markers=b.markers[:1]),
+            b._replace(markers=list(b.markers)),
+        ):
+            with pytest.raises(NotAStructure):
+                bottom_terminal(lie, 0)
+
+    def test_an_equal_hand_built_record_is_taken(self, monkeypatch):
+        m = middle([Z(2), vn(2)])
+        same = MiddleStructure(set=m.set, arity=2, offset=0)
+        assert same is not m
+        assert _scans(monkeypatch, close, same) == 0
+        assert close(same) is close(m.set)
+
+    def test_a_record_of_another_kind_gets_no_remembered_reading(self, monkeypatch):
+        m = middle([Z(2), vn(2)])
+        top = TopStructure(*m)
+        assert top == m
+        assert _scans(monkeypatch, fusion._as, fusion.top_structure, top) == 1
+        got = fusion._as(fusion.top_structure, top)
+        assert type(got) is TopStructure and got == top
+        with pytest.raises(NotAStructure):
+            bottom_terminal(m, 0)
+
+    def test_threads_get_their_own_readings_and_the_table_stays_bounded(self):
+        # eight threads on two cores, switching often, each closing middles
+        # of its own and fusing them; every answer is checked against one
+        # worked out from the bare sets beforehand
+        cases = []
+        for k in range(8):
+            ea, eb = [Z(k), vn(k % 3)], [vn(2), Z(k + 1)]
+            a, b = middle(ea).set, middle(eb).set
+            cases.append((ea, eb, close(a), close(fuse_middle(a, b).set)))
+        wrong = []
+
+        def run(ea, eb, closed, fused):
+            for _ in range(200):
+                a, b = middle(ea), middle(eb)
+                if close(a) is not closed or close(fuse_middle(a, b)) is not fused:
+                    wrong.append(ea)
+
+        threads = [threading.Thread(target=run, args=case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        # at most one reading more per thread than 2 * _BLOCK - 1
+        assert sum(map(len, fusion._MIDDLES)) < 2 * fusion._BLOCK + len(threads)
+
+    def test_a_reading_is_kept_through_7_later_middles_and_gone_after_16(self, monkeypatch):
+        others = [middle([Z(k)]).set for k in range(26)]
+        for start in range(8):
+            # after start middles, so that the first one watched falls at
+            # each place of a block
+            fusion._MIDDLES = ({}, {})
+            for h in others[:start]:
+                middle_structure(h)
+            first = middle([Z(2), vn(2)])
+            for h in others[10:17]:
+                middle_structure(h)
+            assert _scans(monkeypatch, close, first) == 0
+            for h in others[17:26]:
+                middle_structure(h)
+            assert _scans(monkeypatch, close, first) == 1
+            assert sum(map(len, fusion._MIDDLES)) < 2 * fusion._BLOCK
 
 
 # Fuzzing: hand-built inputs through the public surface; only CalculusError

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import random
 import sys
+import threading
 
 import pytest
 
 import conset.algebra
 import conset.kernel
+import conset.tuples
 from conset import (
     NoneFound,
     NoSuchPosition,
@@ -99,6 +101,76 @@ class TestPositions:
             assert position_path(p + q) is compose(
                 position_path(p), position_path(q)
             )
+
+
+class TestMarkerTable:
+    # markers checked against position_path, which builds them afresh
+    @pytest.fixture
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(conset.tuples, "_POSITIONS", [])
+
+    def test_table_grown_in_mixed_order(self, empty_table):
+        for m in (3, 40, 2):
+            got = _positions(m)
+            assert got == [position(i) for i in range(m)]
+            assert all(p is position_path([i]) for i, p in enumerate(got))
+        assert len(conset.tuples._POSITIONS) == 40
+
+    def test_position_does_not_grow_the_table(self, empty_table):
+        _positions(5)
+        for n in (4, 5, 10**5):
+            assert position(n) is position_path([n])
+        assert len(conset.tuples._POSITIONS) == 5
+
+    def test_a_slice_leaves_the_table_as_it_was(self, empty_table):
+        _positions(3).append(empty())
+        assert _positions(4)[3] is position_path([3])
+
+    def test_racing_growths_leave_every_marker_in_its_slot(self):
+        # eight threads on two cores, switching often; in each round the
+        # table starts empty and every thread grows it to its own length
+        sizes = [7, 30, 12, 45, 3, 21, 38, 16]
+        want = [position_path([i]) for i in range(max(sizes))]
+        rounds, wrong = 100, []
+        start = threading.Barrier(len(sizes) + 1, timeout=60)
+        done = threading.Barrier(len(sizes) + 1, timeout=60)
+
+        def grow(m):
+            for _ in range(rounds):
+                start.wait()
+                got = _positions(m)
+                if not all(p is q for p, q in zip(got, want[:m], strict=True)):
+                    wrong.append(m)
+                done.wait()
+
+        threads = [threading.Thread(target=grow, args=(m,)) for m in sizes]
+        saved, interval = conset.tuples._POSITIONS, sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for _ in range(rounds):
+                conset.tuples._POSITIONS = []
+                start.wait()
+                done.wait()
+                table = conset.tuples._POSITIONS
+                if not all(p is q for p, q in zip(table, want)):
+                    wrong.append(len(table))
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            conset.tuples._POSITIONS = saved
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_wide_tuple_round_trips(self):
+        # entry i is the numeral i mod 10, so a slot read one off reads wrong
+        entries = [zermelo(i % 10) for i in range(10**4)]
+        t = make_tuple(entries)
+        assert len(t.children) == 10**4
+        for i in (0, 1, 2, 4999, 9998, 9999):
+            assert get_at(t, [i]) is entries[i]
 
 
 class TestMarkerCodec:
