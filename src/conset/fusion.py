@@ -13,15 +13,17 @@ with exact verification: the top query searches assignments under a budget,
 the bottom query walks x once.
 
 A structure record is a reading of its set, and each function here that
-takes one checks it against that set.  The readings behind the last 8 to 15
-middle records that this module returned are remembered, so a middle passed
-straight back to close or fuse_middle, as in
-close(fuse_middle(middle(a), middle(b))), is not read again; any other
-record, and every bare set, is read.
+takes one checks it against a true reading of that set.  Sets are interned,
+so a middle reading is a pure function of the set and the offset, and the
+16 middle readings used last are memoized: a middle passed straight back to
+close or fuse_middle, as in close(fuse_middle(middle(a), middle(b))), finds
+its reading there and its set is not walked again.  A record is still
+compared with that reading.  Tops and bottoms are read on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
@@ -93,27 +95,6 @@ class MiddleStructure(NamedTuple):
     set: SetHandle
     arity: int
     offset: int = 0
-
-
-# The middles that _middle returned last, with the bottom reading each came
-# with, in two tables: the newer one fills to _BLOCK entries and then becomes
-# the older, whose entries are dropped.  So a middle is kept through at least
-# _BLOCK - 1 later ones and gone after 2 * _BLOCK - 1.  The pair is replaced
-# in one assignment, so a thread can lose a reading but never find a wrong one.
-_MIDDLES: tuple[dict, dict] = ({}, {})
-_BLOCK = 8
-
-
-def _remember(
-    m: MiddleStructure, b: BottomStructure
-) -> tuple[MiddleStructure, BottomStructure]:
-    """Keep (m, b) as what _middle returned for m; return it."""
-    global _MIDDLES
-    newer = _MIDDLES[0]
-    newer[m] = reading = m, b
-    if len(newer) >= _BLOCK:
-        _MIDDLES = ({}, newer)
-    return reading
 
 
 def _require_record(r: object) -> None:
@@ -249,10 +230,17 @@ def middle_structure(h: SetHandle, offset: int = 0) -> MiddleStructure:
 
 def _middle(h: SetHandle, offset: int) -> tuple[MiddleStructure, BottomStructure]:
     """middle_structure(h, offset) with the bottom reading it checked, whose
-    markers close and fuse_middle read without parsing them again.  One walk
-    reads h for both readings; the top is checked first."""
+    markers close and fuse_middle read without parsing them again."""
     _require_set(h)
     _require_int(offset, "offset")
+    return _read_middle(h, offset)
+
+
+# a reading's records are immutable, so callers can share it; typed keeps an
+# offset of True apart from one of 1
+@functools.lru_cache(maxsize=16, typed=True)
+def _read_middle(h: SetHandle, offset: int) -> tuple[MiddleStructure, BottomStructure]:
+    """One walk reads h for both readings; the top is checked first."""
     slots, bypass, maximal = _read(h)
     arity = _top_arity(slots, bypass, offset)
     b = _bottom(h, offset, maximal)
@@ -260,7 +248,7 @@ def _middle(h: SetHandle, offset: int) -> tuple[MiddleStructure, BottomStructure
         raise NotAStructure(f"slot arity {arity} differs from marker arity {b.arity}")
     if any(_slot(m) is not None for m in b.markers):
         raise NotAStructure("a bare position marker doubles as a branch marker")
-    return _remember(MiddleStructure(set=h, arity=arity, offset=offset), b)
+    return MiddleStructure(set=h, arity=arity, offset=offset), b
 
 
 def _or_none(
@@ -304,24 +292,14 @@ def _as_middle(
 ) -> tuple[MiddleStructure, BottomStructure]:
     """_as(middle_structure, r) with the bottom reading that check parsed.
 
-    A record equal to a middle that _middle returned not long ago gets the
-    reading that middle came with, unread: _middle is pure and handles are
-    interned, so reading the set again would give the same.
+    A record is compared with the reading of its own set, which comes from
+    _read_middle's memo when that set was read not long ago.
     """
     if isinstance(r, SetHandle):
         return _middle(r, 0)
     _require_record(r)
-    # before the lookup, since an offset of 0.0 equals 0 and would find one
-    _require_int(r.offset, "offset")
-    newer, older = _MIDDLES
-    try:
-        reading = newer.get(r) or older.get(r)
-    except TypeError:  # a field no returned middle holds, such as a list
-        reading = None
-    if reading is None:
-        mv, bv = _middle(r.set, r.offset)
-        reading = _recheck(mv, r), bv
-    return reading
+    mv, bv = _middle(r.set, r.offset)
+    return _recheck(mv, r), bv
 
 
 def bottom_terminal(b: SetHandle | BottomStructure, n: int) -> SetHandle:

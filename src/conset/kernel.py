@@ -468,14 +468,17 @@ def _malformed(text: str) -> NoReturn:
 
 def elements(h: SetHandle) -> list[SetHandle]:
     """Elements of h in canonical (shortlex) order."""
+    _require_set(h)
     return list(h.children)
 
 
 def cardinality(h: SetHandle) -> int:
+    _require_set(h)
     return len(h.children)
 
 
 def union(a: SetHandle, b: SetHandle) -> SetHandle:
+    _require_set(a, b)
     return make_set(a.children + b.children)
 
 
@@ -580,6 +583,7 @@ def _below(roots: Iterable[SetHandle]) -> set[SetHandle]:
 
 def constituent_set(h: SetHandle) -> frozenset[SetHandle]:
     """All constituents of h (reflexive), as a frozenset of handles."""
+    _require_set(h)
     found = _below((h,))
     found.add(h)
     return frozenset(found)
@@ -594,13 +598,19 @@ def is_constituent(x: SetHandle, y: SetHandle) -> bool:
     """True when x occurs somewhere inside y (reflexively).
 
     Only nodes ranked above x can hold it, so the walk from y descends into
-    nothing else and stops at the first hit.  {} is inside every set.
+    nothing else and stops at the first hit.  {} is inside every set.  Both
+    ranks are read before anything else, so an argument that is not a set
+    raises TypeError naming its type, and a set pays for no check.
     """
-    if x is y or x is EMPTY:
+    try:
+        r = x.rank
+        if y.rank <= r:
+            return x is y
+    except AttributeError:
+        _require_set(x, y)
+        raise
+    if x is EMPTY:
         return True
-    r = x.rank
-    if y.rank <= r:
-        return False
     seen = {y}
     stack = [y]
     while stack:
@@ -615,4 +625,5 @@ def is_constituent(x: SetHandle, y: SetHandle) -> bool:
 
 def instance_count(h: SetHandle) -> int:
     """Number of subterm occurrences in h: one for h plus all element instances."""
+    _require_set(h)
     return h.instances

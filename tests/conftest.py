@@ -6,8 +6,15 @@ import sys
 
 import pytest
 
-from conset import constituents
+from conset import constituents, fusion
 from conset.corpus import generate
+
+
+@pytest.fixture(autouse=True)
+def no_memoized_middles():
+    """Start each test with fusion's middle readings unmemoized, so that no
+    count of reads depends on the tests that ran before it."""
+    fusion._read_middle.cache_clear()
 
 
 @pytest.fixture(scope="class")

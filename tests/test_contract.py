@@ -5,9 +5,8 @@ malformed one raises a CalculusError (MalformedGraph, NotAStructure), never a
 bare IndexError, KeyError, AttributeError or AssertionError from deeper
 down; a budget below 1 is a bad argument value (ValueError), and an argument
 of the wrong Python type a TypeError naming its type.  A set is read once; a
-record is checked against its own set once, unless it equals a middle that
-fusion returned not long ago, in which case that middle's reading is used and
-nothing is read.
+record is compared with the reading of its own set, which fusion takes from
+its memo of the 16 middle readings used last when the set is among them.
 """
 
 import sys
@@ -62,7 +61,19 @@ from conset.fusion import (
     validate_middle,
     validate_top,
 )
-from conset.kernel import EMPTY, make_set, parse, to_text
+from conset.kernel import (
+    EMPTY,
+    cardinality,
+    constituent_set,
+    constituents,
+    elements,
+    instance_count,
+    is_constituent,
+    make_set,
+    parse,
+    to_text,
+    union,
+)
 from conset.numerals import (
     add_vn,
     add_zermelo,
@@ -90,6 +101,7 @@ from conset.structure import (
     to_json,
 )
 from conset.tuples import (
+    _branch,
     constituent_at,
     contains_position,
     decode_kuratowski,
@@ -112,11 +124,23 @@ FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
 
 TOP = make_set([position(0)])
 BOTTOM = make_tuple([EMPTY])
-# (op, args): every algebra entry point, every fusion entry point that takes
-# a set or a structure record, every structure entry point that takes a
-# diagram, and structure_of, each given an int where one of those belongs;
-# then parse, to_text and the numerals, each given a value of another type
+# (op, args): every kernel reader, every algebra entry point, every fusion
+# entry point that takes a set or a structure record, every structure entry
+# point that takes a diagram, and structure_of, each given an int where one
+# of those belongs; then parse, to_text and the numerals, each given a value
+# of another type
 WRONG_TYPES = [
+    # without the check, both of these answer True
+    (is_constituent, (5, 5)),
+    (is_constituent, (EMPTY, 5)),
+    (is_constituent, (5, EMPTY)),
+    (elements, (5,)),
+    (cardinality, (5,)),
+    (union, (EMPTY, 5)),
+    (union, (5, EMPTY)),
+    (constituent_set, (5,)),
+    (constituents, (5,)),
+    (instance_count, (5,)),
     (compose_all, ([5],)),
     # without the check, has_bottom(5, 5) answers True
     (has_bottom, (5, 5)),
@@ -205,7 +229,7 @@ WRONG_INTS = [
     (validate_top, (TOP, 0.0), "offset must be an int, got float"),
     (validate_bottom, (BOTTOM, "0"), "offset must be an int, got str"),
     (validate_middle, (EMPTY, 0.0), "offset must be an int, got float"),
-    # a record's offset is checked before the record is looked up
+    # a record's offset is checked before its set is read
     (fuse, (TopStructure(TOP, 1, 0.0), BOTTOM), "offset must be an int, got float"),
     (close, (MiddleStructure(EMPTY, 1, "0"),), "offset must be an int, got str"),
 ]
@@ -332,44 +356,75 @@ def _scans(monkeypatch, op, *args, reader="_read"):
     return len(seen)
 
 
+def _clear():
+    fusion._read_middle.cache_clear()
+
+
 class TestValidatedOnce:
-    # a middle that fusion just returned is not read again; a set always is
+    # a set is read once; its middle reading then comes from the memo, for
+    # the set and for every record of it
     def test_close_scans_its_argument_once(self, monkeypatch):
         m = middle([Z(2), vn(2)])
+        _clear()
         assert _scans(monkeypatch, close, m.set) == 1
+        assert _scans(monkeypatch, close, m.set) == 0
         assert _scans(monkeypatch, close, m) == 0
         assert close(m) is close(m.set)
 
     def test_fuse_middle_scans_each_side_and_the_result(self, monkeypatch):
         a, b = middle_permutation([1, 0]), middle([Z(1), vn(2)])
+        _clear()
         assert _scans(monkeypatch, fuse_middle, a.set, b.set) == 3
-        assert _scans(monkeypatch, fuse_middle, a, b) == 1
+        # the result was read by the call before, so nothing is read
+        assert _scans(monkeypatch, fuse_middle, a, b) == 0
         assert fuse_middle(a, b) == fuse_middle(a.set, b.set)
 
     def test_close_parses_its_markers_once(self, monkeypatch):
         m = middle([Z(2), vn(2), EMPTY])
+        _clear()
         assert _scans(monkeypatch, close, m.set, reader="_bottom") == 1
         assert _scans(monkeypatch, close, m, reader="_bottom") == 0
 
     def test_fuse_middle_parses_markers_of_each_side_and_the_result_once(self, monkeypatch):
         a, b = middle_permutation([1, 0]), middle([Z(1), vn(2)])
+        _clear()
         assert _scans(monkeypatch, fuse_middle, a.set, b.set, reader="_bottom") == 3
-        assert _scans(monkeypatch, fuse_middle, a, b, reader="_bottom") == 1
+        assert _scans(monkeypatch, fuse_middle, a, b, reader="_bottom") == 0
+
+    @pytest.mark.parametrize("reader", ["_read", "_bottom"])
+    def test_a_closed_fused_pair_and_a_wiring_read_each_middle_once(self, monkeypatch, reader):
+        # each builds two middles and fuses them: the three middles are read
+        # once each, and fuse_middle and close find them in the memo
+        def quad():
+            return close(fuse_middle(middle([Z(2), vn(2)]), middle([vn(1), Z(3)])))
+
+        def wiring():
+            return fuse_middle(middle_permutation([2, 0, 1]), middle([Z(1), vn(2), EMPTY]))
+
+        for op in (quad, wiring):
+            _clear()
+            assert _scans(monkeypatch, op, reader=reader) == 3
+            assert _scans(monkeypatch, op, reader=reader) == 0
 
 
 class TestRememberedReadings:
-    @pytest.fixture(autouse=True)
-    def no_readings(self):
-        # each test starts with nothing remembered
-        fusion._MIDDLES = ({}, {})
-
-    def test_a_lying_record_is_read_and_refused(self, monkeypatch):
+    def test_a_lying_record_is_refused(self, monkeypatch):
         m = middle([Z(2), vn(2)])
         t, b = top_structure(m.set), bottom_structure(m.set)
-        # each lie keeps the set of a record returned just before it
-        # a list arity cannot be looked up at all
-        for lie in (m._replace(arity=3), m._replace(offset=1), m._replace(arity=[2])):
-            assert _scans(monkeypatch, lambda: pytest.raises(NotAStructure, close, lie)) == 1
+
+        def refused(lie):
+            return _scans(monkeypatch, lambda: pytest.raises(NotAStructure, close, lie))
+
+        # the lie is compared with the reading of its set: from the memo
+        # with no walk, or after one walk when the set is not memoized;
+        # a list arity is compared like any other
+        for lie in (m._replace(arity=3), m._replace(arity=[2])):
+            assert refused(lie) == 0
+            _clear()
+            assert refused(lie) == 1
+        # no offset-1 reading of m's set exists, so none is memoized
+        assert refused(m._replace(offset=1)) == 1
+        assert refused(m._replace(offset=1)) == 1
         # equal to m as a tuple, but an offset of another type
         with pytest.raises(TypeError, match="^offset must be an int, got float$"):
             close(m._replace(offset=0.0))
@@ -402,6 +457,17 @@ class TestRememberedReadings:
         with pytest.raises(NotAStructure):
             bottom_terminal(m, 0)
 
+    def test_a_failed_reading_is_not_memoized(self, monkeypatch):
+        for _ in range(3):
+            assert _scans(monkeypatch, lambda: pytest.raises(NotAStructure, middle_structure, Z(3))) == 1
+        assert fusion._read_middle.cache_info().currsize == 0
+
+    def test_the_memo_keeps_an_offset_of_true_apart_from_1(self):
+        h = make_set([_branch(1, position(1)), _branch(2, position(2))])
+        assert middle_structure(h, 1).offset == 1
+        assert middle_structure(h, True).offset is True
+        assert middle_structure(h, 1).offset is not True
+
     def test_threads_get_their_own_readings_and_the_table_stays_bounded(self):
         # eight threads on two cores, switching often, each closing middles
         # of its own and fusing them; every answer is checked against one
@@ -431,25 +497,20 @@ class TestRememberedReadings:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        # at most one reading more per thread than 2 * _BLOCK - 1
-        assert sum(map(len, fusion._MIDDLES)) < 2 * fusion._BLOCK + len(threads)
+        assert fusion._read_middle.cache_info().currsize <= 16
 
-    def test_a_reading_is_kept_through_7_later_middles_and_gone_after_16(self, monkeypatch):
-        others = [middle([Z(k)]).set for k in range(26)]
-        for start in range(8):
-            # after start middles, so that the first one watched falls at
-            # each place of a block
-            fusion._MIDDLES = ({}, {})
-            for h in others[:start]:
-                middle_structure(h)
-            first = middle([Z(2), vn(2)])
-            for h in others[10:17]:
-                middle_structure(h)
-            assert _scans(monkeypatch, close, first) == 0
-            for h in others[17:26]:
-                middle_structure(h)
-            assert _scans(monkeypatch, close, first) == 1
-            assert sum(map(len, fusion._MIDDLES)) < 2 * fusion._BLOCK
+    def test_a_reading_is_kept_through_15_later_middles_and_gone_after_16(self, monkeypatch):
+        others = [middle([Z(k)]).set for k in range(31)]
+        _clear()
+        first = middle([Z(2), vn(2)])
+        for h in others[:15]:
+            middle_structure(h)
+        # the hit makes first the reading used last again
+        assert _scans(monkeypatch, close, first) == 0
+        for h in others[15:]:
+            middle_structure(h)
+        assert _scans(monkeypatch, close, first) == 1
+        assert fusion._read_middle.cache_info().currsize == 16
 
 
 # Fuzzing: hand-built inputs through the public surface; only CalculusError
