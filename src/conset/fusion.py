@@ -4,7 +4,9 @@ A top structure leaves numbered slots (position markers) open at its bottom; a
 bottom structure carries numbered branches, each wrapped as a numbered branch
 marker; fusion joins them by one simultaneous substitution of every slot by
 its branch.  Both kinds of marker are built and read through conset.tuples,
-which owns their format; this module knows no marker shape.
+which owns their format.  This module knows one thing of a slot's shape:
+_read passes over a node unless it has two elements, the first a
+singleton, before it asks _slot whether the node is a slot.
 
 Middle structures are both at once and form a monoid under fusion; closing a
 middle structure grounds both sides, turning its branches into a plain set.
@@ -225,22 +227,18 @@ def _bottom(h: SetHandle, offset: int, maximal: list[SetHandle]) -> BottomStruct
 
 def middle_structure(h: SetHandle, offset: int = 0) -> MiddleStructure:
     """Validate h as a middle structure (strict: raises NotAStructure)."""
-    return _middle(h, offset)[0]
-
-
-def _middle(h: SetHandle, offset: int) -> tuple[MiddleStructure, BottomStructure]:
-    """middle_structure(h, offset) with the bottom reading it checked, whose
-    markers close and fuse_middle read without parsing them again."""
     _require_set(h)
     _require_int(offset, "offset")
-    return _read_middle(h, offset)
+    return _read_middle(h, offset)[0]
 
 
 # a reading's records are immutable, so callers can share it; typed keeps an
 # offset of True apart from one of 1
 @functools.lru_cache(maxsize=16, typed=True)
 def _read_middle(h: SetHandle, offset: int) -> tuple[MiddleStructure, BottomStructure]:
-    """One walk reads h for both readings; the top is checked first."""
+    """One walk reads h for both readings; the top is checked first.  The
+    bottom reading holds the markers, which close and fuse_middle read from
+    here without parsing them again."""
     slots, bypass, maximal = _read(h)
     arity = _top_arity(slots, bypass, offset)
     b = _bottom(h, offset, maximal)
@@ -278,28 +276,10 @@ def _as(strict: Callable[[SetHandle, int], S], r: SetHandle | S) -> S:
     if isinstance(r, SetHandle):
         return strict(r, 0)
     _require_record(r)
-    return _recheck(strict(r.set, r.offset), r)
-
-
-def _recheck(v: S, r: S) -> S:
+    v = strict(r.set, r.offset)
     if v != r:
         raise NotAStructure(f"the record does not describe its set (arity {v.arity})")
     return v
-
-
-def _as_middle(
-    r: SetHandle | MiddleStructure,
-) -> tuple[MiddleStructure, BottomStructure]:
-    """_as(middle_structure, r) with the bottom reading that check parsed.
-
-    A record is compared with the reading of its own set, which comes from
-    _read_middle's memo when that set was read not long ago.
-    """
-    if isinstance(r, SetHandle):
-        return _middle(r, 0)
-    _require_record(r)
-    mv, bv = _middle(r.set, r.offset)
-    return _recheck(mv, r), bv
 
 
 def bottom_terminal(b: SetHandle | BottomStructure, n: int) -> SetHandle:
@@ -386,7 +366,8 @@ def fuse_middle(
     a: SetHandle | MiddleStructure, b: SetHandle | MiddleStructure
 ) -> MiddleStructure:
     """Fuse a (as top) onto b (as bottom); middle structures form a monoid."""
-    av, bv = _as_middle(a)[0], _as_middle(b)[1]
+    av, mb = _as(middle_structure, a), _as(middle_structure, b)
+    bv = _read_middle(mb.set, mb.offset)[1]  # read by the check just made
     if av.arity != bv.arity:
         raise ArityMismatch(f"arity {av.arity} fused with arity {bv.arity}")
     # a middle is a top with the same fields
@@ -400,9 +381,10 @@ def close(m: SetHandle | MiddleStructure) -> SetHandle:
     elements of one set, and their slots are grounded by fusing empty
     branches onto them, so equal or nested branches cannot lose a marker.
     """
-    mv, bv = _as_middle(m)
+    mv = _as(middle_structure, m)
     if mv.offset != 0:
         raise TerminalMismatch("fusion requires marker indices starting at 0")
+    bv = _read_middle(mv.set, mv.offset)[1]  # read by the check just made
     branches = [_parse_marker(mk)[1] for mk in bv.markers]
     return _fuse_formula(make_set(branches), [EMPTY] * mv.arity)
 

@@ -7,16 +7,19 @@ is a single bottom (the empty set) and a single top (the whole set).
 
 A certificate is the least leaf encoding of a color refinement and
 individualization tree that does not depend on the input labeling, so two
-graphs get equal certificate bytes exactly when they are isomorphic.
-Refinement signs only the classes that a split can reach (the neighbours of
-the vertices that moved, starting from the one individualized), and numbers
-the classes as re-signing every vertex every round would, so the tree and
-the bytes are those of that full re-sign.  The search walks the tree with
-one explicit stack and skips subtrees whose leaves are images of leaves
-already seen under an automorphism: classes of twins split without
-branching, automorphisms found at equal leaves prune the children of the
-first path by orbit, and the path jumps back once its branch joins an
-explored orbit.  Realization walks a diagram bottom-up and builds the
+graphs get equal certificate bytes exactly when they are isomorphic.  The
+search keeps one ordered partition of the vertices into cells, each
+numbered by the count of vertices in the cells before it, from the root
+to every leaf, where the cell numbers are the labels.  Refinement signs
+only the cells that a split can reach (the neighbours of the vertices that
+moved, starting from the one individualized), and numbers the parts as
+re-signing every vertex every round would, so the tree and the bytes are
+those of that full re-sign.  The search walks the tree with one explicit
+stack and skips subtrees whose leaves are images of leaves already seen
+under an automorphism: cells of twins split without branching,
+automorphisms found at equal leaves prune the children of the first path
+by orbit, and the path jumps back once its branch joins an explored
+orbit.  Realization walks a diagram bottom-up and builds the
 least set whose diagram matches, adding far-down constituents as extra
 elements only when two vertices would otherwise collide.
 """
@@ -24,6 +27,7 @@ elements only when two vertices would otherwise collide.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import MalformedGraph, Unrealizable
@@ -154,40 +158,30 @@ def check_graph(g: StructureGraph) -> None:
 
 
 def _refine(
-    n: int,
     lowers: list[list[int]],
     uppers: list[list[int]],
-    colors: list[int],
+    pos: list[int],
+    cells: dict[int, list[int]],
     moved: list[int] | None = None,
-) -> list[int]:
-    """Split color classes by neighbour colors until nothing splits.
+) -> None:
+    """Split cells by the cells of their neighbours until nothing splits.
 
-    Colors are dense ranks, and a class splits in place: its parts take
-    consecutive ranks in the order of their sorted (lower, upper) signatures,
-    and the classes above it move up.  This is the numbering that re-signing
-    every vertex in every round gives, but a round signs only the classes of
-    two or more that hold a neighbour of a vertex moved in the round before.
-    The members of any other class had equal signatures and see no class
-    change, so it cannot split.  Of a split class the largest part need not
-    count as moved: a class that sees no other part of it sees that part as
-    often as it saw the whole class.  Without `moved`, on the base coloring,
-    the first round signs every class; after _split of a refined coloring,
-    `moved` is the vertex given a class of its own.
+    A cell is numbered by the count of vertices in the cells before it;
+    pos[v] is the number of v's cell and cells[p] holds its vertices in
+    increasing order.  Both are refined in place, and a cell splits in
+    place: its parts take the numbers from p on in the order of their
+    sorted (lower, upper) signatures, and no other cell is renumbered.  This
+    is the partition that re-signing every vertex in every round gives, but
+    a round signs only the cells of two or more that hold a neighbour of a
+    vertex moved in the round before.  The members of any other cell had
+    equal signatures and see no cell change, so it cannot split.  Of a split
+    cell the largest part need not count as moved: a cell that sees no other
+    part of it sees that part as often as it saw the whole cell.  Without
+    `moved`, on the base partition, the first round signs every cell; after
+    _split of a refined partition, `moved` is the vertex given a cell of its
+    own.  A part is bound to its number as a new list, so a partition that
+    shares cell lists with this one keeps its own.
     """
-    # inside, a class is numbered by the count of vertices in lower classes,
-    # so a split renumbers only the parts it makes
-    lab = sorted(range(n), key=colors.__getitem__)
-    pos = [0] * n
-    cells: dict[int, list[int]] = {}
-    p = c = 0
-    for i in range(n):
-        v = lab[i]
-        if colors[v] != c:
-            cells[p] = lab[p:i]
-            p, c = i, colors[v]
-        pos[v] = p
-    cells[p] = lab[p:]
-    count = len(cells)
     todo = list(cells)
     while True:
         if moved is not None:
@@ -217,7 +211,7 @@ def _refine(
             if len(parts) > 1:
                 splits.append((p, [parts[s] for s in sorted(parts)]))
         if not splits:
-            break
+            return
         moved = []
         for p, ordered in splits:
             largest = max(ordered, key=len)
@@ -228,21 +222,25 @@ def _refine(
                 if part is not largest:
                     moved += part
                 p += len(part)
-    if len(cells) == count:
-        return colors
-    rank = {p: i for i, p in enumerate(sorted(cells))}
-    return [rank[p] for p in pos]
 
 
-def _split(colors: list[int], front: list[int], size: int) -> list[int]:
-    """Give the vertices of front, all of one class of the given size, one
-    singleton class each, in order, ahead of the rest of their class."""
-    c = colors[front[0]]
-    shift = len(front) if len(front) < size else size - 1
-    new = [x + shift if x >= c else x for x in colors]
+def _split(
+    pos: list[int], cells: dict[int, list[int]], p: int, front: list[int]
+) -> tuple[list[int], dict[int, list[int]]]:
+    """Copies of the partition in which the vertices of front, all of cell
+    p, get cells p, p+1, ... in order and the rest of cell p follows them."""
+    pos, cells = pos[:], dict(cells)
+    rest = cells[p]
+    if len(front) < len(rest):
+        ahead = set(front)
+        q = p + len(front)
+        cells[q] = rest = [v for v in rest if v not in ahead]
+        for v in rest:
+            pos[v] = q
     for i, v in enumerate(front):
-        new[v] = c + i
-    return new
+        pos[v] = p + i
+        cells[p + i] = [v]
+    return pos, cells
 
 
 def _inverse(lab: list[int]) -> list[int]:
@@ -262,17 +260,19 @@ def _canonical(g: StructureGraph) -> tuple[tuple, list[int]]:
     """Canonical form and a labeling realizing it (vertex -> canonical index).
 
     The form is the least leaf encoding of the individualization-refinement
-    tree: refine the colors, branch on each vertex of the first class that
-    is not a singleton, and at a leaf, where every class is a singleton,
-    encode the edges under the colors.  The tree does not depend on the
-    input labeling, so neither does its least leaf.  One explicit stack walks
-    it depth first and skips only subtrees whose leaves encode like leaves
-    already seen, so the least leaf is still found:
+    tree: refine the partition, branch on each vertex of the least-numbered
+    cell that is not a singleton, and at a leaf, where every cell is a
+    singleton, encode the edges under the cell numbers.  The tree does not
+    depend on the input labeling, so neither does its least leaf.  A node's
+    partition is kept in its stack frame, and _split copies it for each
+    child.  One explicit stack walks the tree depth first and skips only
+    subtrees whose leaves encode like leaves already seen, so the least
+    leaf is still found:
 
-    - Twin collapse: a target class of twins (equal lower and upper covers)
+    - Twin collapse: a target cell of twins (equal lower and upper covers)
       splits into singletons in one step.  Any order of twins is an
       automorphism fixing every other vertex, so every branch leads to the
-      same encodings, and splitting twins leaves the coloring refined.
+      same encodings, and splitting twins leaves the partition refined.
     - Orbit pruning: a leaf that encodes like the first or the best leaf
       yields an automorphism.  At a node of the first path, a child in the
       orbit of an explored child (under the automorphisms found that fix
@@ -286,49 +286,49 @@ def _canonical(g: StructureGraph) -> tuple[tuple, list[int]]:
     for adj in lowers + uppers:
         adj.sort()  # so that twins have equal lists
     base = [(level[v], len(lowers[v]), len(uppers[v])) for v in range(n)]
-    ranks = {s: i for i, s in enumerate(sorted(set(base)))}
-    colors = _refine(n, lowers, uppers, [ranks[s] for s in base])
+    order = sorted(base)
+    pos = [bisect_left(order, key) for key in base]  # the count of lower keys
+    cells: dict[int, list[int]] = {}
+    for v in range(n):
+        cells.setdefault(pos[v], []).append(v)
+    _refine(lowers, uppers, pos, cells)
 
     first_path: list[int] = []  # vertex individualized below each first-path node
     orbits: list[list[int]] = []  # per first-path node: union-find, min roots
     first_form = best_form = None
-    stack: list[list] = []  # [colors, target class, index of the child taken]
+    stack: list[list] = []  # [pos, cells, target cell, index of the child taken]
     div = n  # depth of the first frame whose child is not its first
     while True:
         # descend along first children to a leaf
         while True:
-            count = [0] * n
-            for c in colors:
-                count[c] += 1
-            target = 0
-            while target < n and count[target] < 2:
-                target += 1
+            target = min((p for p, cell in cells.items() if len(cell) > 1), default=n)
             if target == n:
                 break
-            cell = [v for v in range(n) if colors[v] == target]
+            cell = cells[target]
             t0 = cell[0]
             for v in cell:
                 if lowers[v] != lowers[t0] or uppers[v] != uppers[t0]:
                     break
             else:
-                colors = _split(colors, cell, len(cell))
+                pos, cells = _split(pos, cells, target, cell)
                 continue
             if first_form is None:
                 first_path.append(t0)
                 orbits.append(list(range(n)))
-            stack.append([colors, cell, 0])
-            colors = _refine(n, lowers, uppers, _split(colors, [t0], len(cell)), [t0])
+            stack.append([pos, cells, cell, 0])
+            pos, cells = _split(pos, cells, target, [t0])
+            _refine(lowers, uppers, pos, cells, [t0])
 
-        pairs = [(colors[a], colors[b]) for a, b in g.edges]
+        pairs = [(pos[a], pos[b]) for a, b in g.edges]
         pairs.sort()
         form = (n, tuple(pairs))
         if first_form is None:
             first_form = best_form = form
-            first_inv = best_inv = _inverse(colors)
-            best_lab = colors
+            first_inv = best_inv = _inverse(pos)
+            best_lab = pos
         elif form == first_form or form == best_form:
             ref = first_inv if form == first_form else best_inv
-            gamma = [ref[c] for c in colors]  # an automorphism
+            gamma = [ref[p] for p in pos]  # an automorphism
             fixed = 0
             for v in first_path:
                 if gamma[v] != v:
@@ -345,27 +345,27 @@ def _canonical(g: StructureGraph) -> tuple[tuple, list[int]]:
                         parent[max(a, b)] = min(a, b)
             # the branch taken where this path leaves the first path
             frame = stack[div]
-            w = frame[1][frame[2]]
+            w = frame[2][frame[3]]
             if _find(orbits[div], w) != w:
                 del stack[div + 1 :]
         elif form < best_form:
-            best_form, best_inv, best_lab = form, _inverse(colors), colors
+            best_form, best_inv, best_lab = form, _inverse(pos), pos
 
         # backtrack to the next child not pruned
         while stack:
             d = len(stack) - 1
-            node, cell, i = stack[-1]
+            node_pos, node_cells, cell, i = stack[-1]
             i += 1
             if d <= div:
                 parent = orbits[d]
                 while i < len(cell) and _find(parent, cell[i]) != cell[i]:
                     i += 1
             if i < len(cell):
-                stack[-1][2] = i
+                stack[-1][3] = i
                 div = min(div, d)
-                colors = _refine(
-                    n, lowers, uppers, _split(node, [cell[i]], len(cell)), [cell[i]]
-                )
+                v = cell[i]
+                pos, cells = _split(node_pos, node_cells, node_pos[v], [v])
+                _refine(lowers, uppers, pos, cells, [v])
                 break
             stack.pop()
         else:

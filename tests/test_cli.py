@@ -177,6 +177,11 @@ class TestTuple:
         assert code == EXIT_SYNTAX
         assert err.startswith("syntax error: ")
 
+    def test_negative_coordinate_is_syntax_error(self, capsys):
+        code, out, err = run(capsys, "tuple", "get", "(1, 2)", "-1")
+        assert (code, out) == (EXIT_SYNTAX, "")
+        assert err == "syntax error: malformed path '-1': coordinates must be naturals\n"
+
 
 class TestNum:
     def test_add_auto_picks_the_valid_scheme(self, capsys):

@@ -32,8 +32,8 @@ from conset.errors import (
 from conset.fusion import (
     BottomStructure,
     TopStructure,
-    _middle,
     _read,
+    _read_middle,
     bottom_structure,
     bottom_terminal,
     close,
@@ -210,6 +210,14 @@ class TestValidators:
     def test_plain_bottom_is_not_a_middle(self):
         assert validate_middle(sample_bottom(Z(1), Z(2), vn(2))) is None
 
+    def test_slot_and_marker_arities_must_agree(self):
+        # three branch markers, whose slots are only P0 and P1
+        p0, p1 = position(0), position(1)
+        h = make_set([branch(0, p0), branch(1, p1), branch(2, make_set([p0, p1]))])
+        assert validate_top(h).arity == 2 and validate_bottom(h).arity == 3
+        with pytest.raises(NotAStructure, match="^slot arity 2 differs from marker arity 3$"):
+            middle_structure(h)
+
     def test_offset_one_structures(self):
         t = make_set([position(1), position(2)])
         b = make_set([branch(1, Z(2)), branch(2, vn(3))])
@@ -250,7 +258,7 @@ class TestOneReader:
         m = middle([Z(1), Z(2)])
         h = make_set(m.set.children + (Z(1),))
         assert middle_structure(h).arity == 2
-        assert _middle(h, 0)[1].markers == bottom_structure(m.set).markers
+        assert _read_middle(h, 0)[1].markers == bottom_structure(m.set).markers
         assert close(h) is close(m) is make_set([Z(1), Z(2)])
 
     def test_bottom_with_an_element_inside_its_marker(self):
@@ -303,7 +311,7 @@ class TestOneReader:
             mid = middle_markers_by_text(h.text)
             assert (validate_middle(h) is None) == (mid is None), h
             if mid is not None:
-                mv, bv = _middle(h, 0)
+                mv, bv = _read_middle(h, 0)
                 assert mv.arity == len(mid)
                 assert [m.text for m in bv.markers] == mid
             outcomes.add((bottom is not None, mid is not None))
@@ -420,6 +428,12 @@ class TestFuseWithTerminals:
     def test_wrong_branch_count_raises(self):
         with pytest.raises(ArityMismatch):
             fuse_with_terminals(make_tuple([empty()] * 3), [Z(1), Z(2)])
+
+    def test_top_with_an_offset_does_not_fuse(self):
+        tv = top_structure(make_set([position(1), make_set([position(2)])]), 1)
+        assert tv.arity == 2
+        with pytest.raises(TerminalMismatch, match="^fusion requires marker indices starting at 0$"):
+            fuse_with_terminals(tv, [empty(), empty()])
 
     def test_hand_built_top_is_checked(self):
         with pytest.raises(NotAStructure):
@@ -607,6 +621,12 @@ class TestClose:
             a, b, c, d = (rng.choice(corpus) for _ in range(4))
             got = close(fuse_middle(middle([a, b]), middle([c, d])))
             assert got is make_set([compose(a, c), compose(b, d)])
+
+    def test_middle_with_an_offset_does_not_close(self):
+        m = middle_structure(make_set([branch(1, position(1)), branch(2, position(2))]), 1)
+        assert (m.arity, m.offset) == (2, 1)
+        with pytest.raises(TerminalMismatch, match="^fusion requires marker indices starting at 0$"):
+            close(m)
 
     def test_equal_entries_close_to_their_set(self):
         # equal or nested entries keep their markers: close reads the

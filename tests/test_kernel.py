@@ -760,6 +760,11 @@ class TestElements:
     def test_cardinality_of_numeral(self):
         assert cardinality(vn(5)) == 5
 
+    def test_a_handle_sizes_and_iterates_as_its_elements(self, corpus200):
+        for h in corpus200[:50] + [empty(), vn(5)]:
+            assert len(h) == cardinality(h)
+            assert list(iter(h)) == elements(h)
+
     def test_union_builds_two_element_set(self):
         assert union(make_set([zermelo(0)]), make_set([zermelo(1)])) is vn(2)
 

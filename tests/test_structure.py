@@ -1,6 +1,7 @@
 """Covering diagrams: extraction, certificates, isomorphism, realization."""
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 import random
@@ -17,6 +18,7 @@ import conset
 import conset.structure as structure
 from conset import (
     POINT,
+    MalformedGraph,
     StructureGraph,
     Unrealizable,
     canonical_cert,
@@ -225,6 +227,14 @@ class TestCheckGraph:
         with pytest.raises(ValueError):
             check_graph(g)
 
+    def test_rejects_a_cycle_between_bottom_and_top(self):
+        # one bottom and one top, so only the walk up from the bottom sees
+        # that 1 and 2 cover each other
+        edges = ((0, 1), (1, 2), (1, 3), (2, 1))
+        g = StructureGraph(tags=(None,) * 4, edges=edges, top=3, bottom=0)
+        with pytest.raises(MalformedGraph, match="^graph has a cycle$"):
+            check_graph(g)
+
 
 class TestCanonicalCert:
     def test_numeral_schemes_agree(self):
@@ -299,11 +309,29 @@ class TestSymmetricShapes:
         assert len(calls) <= k * k
 
 
-def _refine_both(g: StructureGraph, colors: list[int], moved=None) -> tuple[list, list]:
-    """The library's refinement of colors and the full re-sign of them."""
+def _cells(colors: list[int]) -> tuple[list[int], dict[int, list[int]]]:
+    """The partition of dense colour ranks as the search keeps it: each
+    vertex's cell numbered by the count of vertices of lower colours, and
+    each cell's vertices in increasing order."""
+    order = sorted(colors)
+    pos = [bisect.bisect_left(order, c) for c in colors]
+    cells: dict[int, list[int]] = {}
+    for v, p in enumerate(pos):
+        cells.setdefault(p, []).append(v)
+    return pos, cells
+
+
+def _refine_both(
+    g: StructureGraph, pos: list[int], cells: dict, moved=None
+) -> tuple[list, list]:
+    """The library's refinement of a partition and the full re-sign of its
+    colours, each as dense colour ranks."""
+    want = oracles.refine_full(g.n, g.edges, oracles._dense(pos))
     lowers, uppers, _ = structure._diagram(g)
-    got = structure._refine(g.n, lowers, uppers, colors, moved)
-    return got, oracles.refine_full(g.n, g.edges, colors)
+    structure._refine(lowers, uppers, pos, cells, moved)
+    got = oracles._dense(pos)
+    assert _cells(got) == (pos, cells)
+    return got, want
 
 
 REFINED_SHAPES = {
@@ -318,17 +346,17 @@ class TestRefinement:
     def test_base_coloring_refines_as_the_full_re_sign(self, corpus200):
         for x in corpus200:
             g = structure_of(x)
-            got, want = _refine_both(g, oracles.base_colors(g))
+            got, want = _refine_both(g, *_cells(oracles.base_colors(g)))
             assert got == want
 
     @pytest.mark.parametrize("name", sorted(REFINED_SHAPES))
     def test_each_individualization_refines_as_the_full_re_sign(self, name):
         g = REFINED_SHAPES[name]
-        colors = oracles.refine_full(g.n, g.edges, oracles.base_colors(g))
+        pos, cells = _cells(oracles.refine_full(g.n, g.edges, oracles.base_colors(g)))
         for v in range(g.n):
-            size = colors.count(colors[v])
-            if size > 1:
-                got, want = _refine_both(g, structure._split(colors, [v], size), [v])
+            if len(cells[pos[v]]) > 1:
+                split = structure._split(pos, cells, pos[v], [v])
+                got, want = _refine_both(g, *split, [v])
                 assert got == want
 
     def test_individualizing_reads_only_what_the_split_reaches(self):
@@ -340,6 +368,7 @@ class TestRefinement:
         g = _fan(*[2] * k)
         lowers, uppers, _ = structure._diagram(g)
         colors = oracles.refine_full(g.n, g.edges, oracles.base_colors(g))
+        pos, cells = _cells(colors)
         reads = []
 
         class Counted(list):
@@ -348,8 +377,8 @@ class TestRefinement:
                 return list.__getitem__(self, v)
 
         first = colors.index(1)  # the lower vertex of the first branch
-        split = structure._split(colors, [first], k)
-        structure._refine(g.n, Counted(lowers), Counted(uppers), split, [first])
+        split = structure._split(pos, cells, pos[first], [first])
+        structure._refine(Counted(lowers), Counted(uppers), *split, [first])
         assert len(reads) == 2 * (1 + k + 1)
 
 
@@ -497,6 +526,11 @@ class TestSimplestSet:
 class TestGraphSum:
     def test_chain_lengths_add(self):
         assert graph_sum(chain_graph(2), chain_graph(3)) == chain_graph(5)
+
+    def test_chains_have_no_negative_length(self):
+        assert chain_graph(0) is POINT
+        with pytest.raises(ValueError, match="^chain length must be >= 0$"):
+            chain_graph(-1)
 
     def test_point_is_identity(self, corpus200):
         # one-vertex operands collapse to the other side's point, so tag

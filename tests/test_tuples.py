@@ -88,6 +88,10 @@ class TestPositions:
         for p in range(4):
             assert position_path([p]) is position(p)
 
+    def test_empty_path_raises(self):
+        with pytest.raises(ValueError, match="^a position path needs at least one coordinate$"):
+            position_path([])
+
     def test_path_fixed_example(self):
         assert position_path([1, 2]) is compose_all(
             [diamond(), zermelo(1), diamond(), zermelo(2)]
