@@ -21,7 +21,9 @@ automorphisms found at equal leaves prune the children of the first path
 by orbit, and the path jumps back once its branch joins an explored
 orbit.  Realization walks a diagram bottom-up and builds the
 least set whose diagram matches, adding far-down constituents as extra
-elements only when two vertices would otherwise collide.
+elements only when two vertices would otherwise collide.  A diagram read
+back from JSON parses the top's tag and finds the other tags among the
+canonical texts of its constituents, so to_json's output costs one parse.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import json
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .errors import MalformedGraph, Unrealizable
+from .errors import MalformedGraph, MalformedText, Unrealizable
 from .kernel import (
     EMPTY,
     SetHandle,
@@ -142,8 +144,10 @@ def _diagram(g: StructureGraph) -> tuple[list[list[int]], list[list[int]], list[
     while queue:
         v = queue.pop()
         seen += 1
+        up = level[v] + 1
         for u in uppers[v]:
-            level[u] = max(level[u], level[v] + 1)
+            if level[u] < up:
+                level[u] = up
             indeg[u] -= 1
             if indeg[u] == 0:
                 queue.append(u)
@@ -298,10 +302,12 @@ def _canonical(g: StructureGraph) -> tuple[tuple, list[int]]:
     first_form = best_form = None
     stack: list[list] = []  # [pos, cells, target cell, index of the child taken]
     div = n  # depth of the first frame whose child is not its first
+    target = 0  # every cell numbered below the target is a singleton
     while True:
         # descend along first children to a leaf
         while True:
-            target = min((p for p, cell in cells.items() if len(cell) > 1), default=n)
+            while target < n and len(cells[target]) == 1:
+                target += 1
             if target == n:
                 break
             cell = cells[target]
@@ -364,7 +370,8 @@ def _canonical(g: StructureGraph) -> tuple[tuple, list[int]]:
                 stack[-1][3] = i
                 div = min(div, d)
                 v = cell[i]
-                pos, cells = _split(node_pos, node_cells, node_pos[v], [v])
+                target = node_pos[v]
+                pos, cells = _split(node_pos, node_cells, target, [v])
                 _refine(lowers, uppers, pos, cells, [v])
                 break
             stack.pop()
@@ -539,7 +546,16 @@ def to_json(g: StructureGraph) -> str:
 
 
 def graph_from_json(text: str) -> StructureGraph:
-    """The diagram to_json wrote; MalformedGraph when the JSON has another shape."""
+    """The diagram to_json wrote; MalformedGraph when the JSON has another shape.
+
+    The tags are read in reverse vertex order, so the top's comes first:
+    to_json writes every set after its constituents.  A text is looked up
+    among the texts read so far and the canonical texts of their
+    constituents, and parsed only when it is not found, so a to_json output
+    costs one parse.  A text found nowhere, such as one with spaces or
+    elements out of order, is still parsed.  A malformed tag raises
+    MalformedText for the first such tag in vertex order.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -558,9 +574,32 @@ def graph_from_json(text: str) -> StructureGraph:
     if not all(type(v) is int for v in ints) or sorted(ids) != list(range(len(ids))):
         raise MalformedGraph(f"ids, edge ends, top and bottom must be ints, ids 0..{len(ids) - 1}")
     tags: list[SetHandle | None] = [None] * len(vertices)
-    for entry in vertices:
-        if "set" in entry:
-            tags[entry["id"]] = parse(entry["set"])
+    sizes = {len(e["set"]) for e in vertices if "set" in e}
+    known: dict[str, SetHandle] = {}  # a tag's or a constituent's text -> its set
+    texts: dict[SetHandle, str] = {}
+    error = None
+    for entry in reversed(vertices):
+        if "set" not in entry:
+            continue
+        t = entry["set"]
+        h = known.get(t)
+        if h is None:
+            try:
+                h = known[t] = parse(t)
+            except MalformedText as e:
+                error = e  # the last one met is the first in vertex order
+                continue
+            # a canonical text is as long as its set; shorter sets first, so
+            # each text is joined from the texts of its elements
+            below = _below((h,))
+            below.add(h)
+            found = [c for c in below if c.size in sizes]
+            found.sort(key=lambda c: c.size)
+            for c in found:
+                known[to_text(c, texts)] = c
+        tags[entry["id"]] = h
+    if error is not None:
+        raise error
     g = StructureGraph(
         tags=tuple(tags),
         edges=tuple(sorted((a, b) for a, b in edges)),

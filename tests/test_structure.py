@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -19,6 +20,7 @@ import conset.structure as structure
 from conset import (
     POINT,
     MalformedGraph,
+    MalformedText,
     StructureGraph,
     Unrealizable,
     canonical_cert,
@@ -619,3 +621,89 @@ class TestSerialization:
 
     def test_point_round_trip(self):
         assert graph_from_json(to_json(POINT)) == POINT
+
+
+def _chain_json(texts: list[str | None], order: list[int]) -> str:
+    """JSON of a chain whose vertex i is tagged texts[i] (no "set" for None),
+    the vertices listed in the given order."""
+    vertices = []
+    for v in order:
+        entry: dict = {"id": v}
+        if texts[v] is not None:
+            entry["set"] = texts[v]
+        vertices.append(entry)
+    n = len(texts)
+    edges = [[i, i + 1] for i in range(n - 1)]
+    return json.dumps({"vertices": vertices, "edges": edges, "top": n - 1, "bottom": 0})
+
+
+HAND_TAGS = {
+    "spaced": [" {} ", "{ {} }", "{\t{},\n{{}} }"],
+    "reordered": ["{}", "{{{}},{}}", "{{{},{{}}},{{}},{}}"],
+    "duplicated": ["{{},{}}", "{{}}", "{{{}},{},{{}},{}}"],
+    "unrelated": ["{{{{}}}}", "{}", "{{},{{{}}}}"],
+    "untagged": [None, "{{}}", None],
+    "canonical below a spaced top": ["{}", "{{}}", "{ {{}} , {} }"],
+    "spaced and canonical alike": ["{{}}", "{ {} }", "{{}}", "{{{}}}"],
+}
+
+
+class TestTagsReadOnce:
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls: list[str] = []
+        real = structure.parse
+        monkeypatch.setattr(structure, "parse", lambda t: calls.append(t) or real(t))
+        return calls
+
+    def test_to_json_output_costs_one_parse(self, corpus200, parses):
+        shapes = corpus200[:40] + [zermelo(300), vn(8), diamond()]
+        for g in map(structure_of, shapes):
+            text = to_json(g)
+            del parses[:]
+            assert graph_from_json(text) == g
+            assert len(parses) == 1
+
+    def test_untagged_vertices_cost_no_parse(self, parses):
+        # graph_sum keeps the tags of its lower diagram only
+        upper_untagged = graph_sum(chain_graph(2), structure_of(vn(3)))
+        cases = [(POINT, 0), (chain_graph(3), 0), (upper_untagged, 1)]
+        for g, count in cases:
+            text = to_json(g)
+            del parses[:]
+            assert graph_from_json(text) == g
+            assert len(parses) == count
+
+    @pytest.mark.parametrize("name", sorted(HAND_TAGS))
+    def test_hand_written_tags_read_as_parse_reads_them(self, name, parses):
+        texts = HAND_TAGS[name]
+        want = tuple(None if t is None else parse(t) for t in texts)
+        n = len(texts)
+        orders = [list(range(n)), list(range(n))[::-1]]
+        orders.append(random.Random(3).sample(range(n), n))
+        for order in orders:
+            del parses[:]
+            assert graph_from_json(_chain_json(texts, order)).tags == want
+            assert len(parses) <= sum(t is not None for t in texts)
+
+    def test_canonical_texts_below_a_spaced_top_are_found(self, parses):
+        texts = HAND_TAGS["canonical below a spaced top"]
+        graph_from_json(_chain_json(texts, [0, 1, 2]))
+        assert parses == [texts[2]]
+
+    @pytest.mark.parametrize(
+        "texts, order, message",
+        [
+            (["{}", "{{}", "{{}}}"], [0, 1, 2], "unterminated set text"),
+            (["{}", "{{}}{}", "{{},}"], [2, 0, 1], "dangling comma before offset 4"),
+            (["{}", "{ {} x}", "}"], [0, 1, 2], "unexpected character 'x' at offset 5"),
+        ],
+    )
+    def test_first_malformed_tag_in_vertex_order_is_reported(self, texts, order, message):
+        with pytest.raises(MalformedText) as err:
+            graph_from_json(_chain_json(texts, order))
+        assert str(err.value) == message
+
+    def test_deep_chain_round_trip(self):
+        g = structure_of(zermelo(1000))
+        assert graph_from_json(to_json(g)) == g
