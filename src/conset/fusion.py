@@ -17,10 +17,13 @@ the bottom query walks x once.
 A structure record is a reading of its set, and each function here that
 takes one checks it against a true reading of that set.  Sets are interned,
 so a middle reading is a pure function of the set and the offset, and the
-16 middle readings used last are memoized: a middle passed straight back to
-close or fuse_middle, as in close(fuse_middle(middle(a), middle(b))), finds
-its reading there and its set is not walked again.  A record is still
-compared with that reading.  Tops and bottoms are read on every call.
+16 middle readings used last are memoized.  middle and middle_permutation
+know the reading of the set they build from how they build it, and put it
+in the memo with no walk; fuse_middle walks the set it fuses, since the
+fusion of two valid middles built by hand need not be a middle.  So in
+close(fuse_middle(middle(a), middle(b))) only the fused set is walked, and
+close finds its reading in the memo.  A record is still compared with the
+reading of its set.  Tops and bottoms are read on every call.
 """
 
 from __future__ import annotations
@@ -232,13 +235,25 @@ def middle_structure(h: SetHandle, offset: int = 0) -> MiddleStructure:
     return _read_middle(h, offset)[0]
 
 
+# the reading of each middle that middle or middle_permutation is building,
+# by its set, for _read_middle to memoize in place of a walk; every entry is
+# the true reading of its set, so a thread may take another thread's
+_BUILT: dict[SetHandle, tuple[MiddleStructure, BottomStructure]] = {}
+
+
 # a reading's records are immutable, so callers can share it; typed keeps an
 # offset of True apart from one of 1
 @functools.lru_cache(maxsize=16, typed=True)
 def _read_middle(h: SetHandle, offset: int) -> tuple[MiddleStructure, BottomStructure]:
     """One walk reads h for both readings; the top is checked first.  The
     bottom reading holds the markers, which close and fuse_middle read from
-    here without parsing them again."""
+    here without parsing them again.  A set that middle or
+    middle_permutation is building is not walked: its reading at offset 0
+    is the one _BUILT holds for it."""
+    if type(offset) is int and offset == 0:
+        built = _BUILT.get(h)
+        if built is not None:
+            return built
     slots, bypass, maximal = _read(h)
     arity = _top_arity(slots, bypass, offset)
     b = _bottom(h, offset, maximal)
@@ -335,14 +350,48 @@ def fuse_with_terminals(
 
 
 def middle(entries: Sequence[SetHandle]) -> MiddleStructure:
-    """Pass-through structure carrying each entry between slot n and marker n."""
+    """Pass-through structure carrying each entry between slot n and marker n.
+
+    Part n is the branch marker n over compose(e_n, P_n), where P_n is slot
+    n, and the middle's reading follows from that construction, so its set
+    is not walked:
+
+    1. compose(e, P_n) rebuilds every node of e except {}, and each rebuilt
+       node holds P_n.  No slot P_k with k != n holds P_n, since the
+       constituents of P_k are its diamond pieces and numerals.  So P_n is
+       the only slot in part n, and no diamond or wrap level is a slot.
+    2. Every constituent of part n outside P_n holds it, so nothing
+       bypasses a slot.
+    3. P_i lies in no part j != i.  So the parts are distinct, none lies
+       inside another, and they are exactly the maximal proper
+       constituents; marker n parses as (n, compose(e_n, P_n)).
+    4. Part 0 is a bare slot only if its branch is a numeral, and that
+       branch holds P_0, which no numeral does.
+
+    So the set is a middle of arity len(entries) at offset 0 whose markers
+    are the parts in order: the reading a walk would give.
+    """
     if not entries:
         raise ValueError("a middle structure needs at least one entry")
     parts = [
         _branch(n, compose(e, p))
         for n, (e, p) in enumerate(zip(entries, _positions(len(entries))))
     ]
-    return middle_structure(make_set(parts))
+    return _built(parts)
+
+
+def _built(parts: list[SetHandle]) -> MiddleStructure:
+    """The middle whose markers are parts, numbered from 0, read from its
+    construction: its reading is memoized as if _read_middle had walked it."""
+    h = make_set(parts)
+    _BUILT[h] = (
+        MiddleStructure(set=h, arity=len(parts), offset=0),
+        BottomStructure(set=h, arity=len(parts), offset=0, markers=tuple(parts)),
+    )
+    try:
+        return _read_middle(h, 0)[0]
+    finally:
+        _BUILT.pop(h, None)
 
 
 def middle_identity(m: int) -> MiddleStructure:
@@ -354,12 +403,17 @@ def middle_identity(m: int) -> MiddleStructure:
 
 
 def middle_permutation(perm: Sequence[int]) -> MiddleStructure:
-    """Middle structure wiring slot n straight to marker perm(n)."""
+    """Middle structure wiring slot n straight to marker perm(n).
+
+    Part n is the branch marker n over P_perm(n), and its reading follows
+    as middle's does with branch n = P_perm(n): each slot lies in one part
+    only, every other constituent of that part holds it, and no branch is a
+    numeral.  So its set is not walked either.
+    """
     if sorted(perm) != list(range(len(perm))):
         raise NotAPermutation(f"{list(perm)} is not a permutation of 0..{len(perm) - 1}")
     slots = _positions(len(perm))
-    parts = [_branch(n, slots[p]) for n, p in enumerate(perm)]
-    return middle_structure(make_set(parts))
+    return _built([_branch(n, slots[p]) for n, p in enumerate(perm)])
 
 
 def fuse_middle(

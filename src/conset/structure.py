@@ -589,14 +589,15 @@ def graph_from_json(text: str) -> StructureGraph:
             except MalformedText as e:
                 error = e  # the last one met is the first in vertex order
                 continue
-            # a canonical text is as long as its set; shorter sets first, so
-            # each text is joined from the texts of its elements
+            # a canonical text is as long as its set; a stored one is read
+            # off its set, and shorter sets come first, so each longer text
+            # is joined from the texts of its elements
             below = _below((h,))
             below.add(h)
             found = [c for c in below if c.size in sizes]
             found.sort(key=lambda c: c.size)
             for c in found:
-                known[to_text(c, texts)] = c
+                known[c._text or to_text(c, texts)] = c
         tags[entry["id"]] = h
     if error is not None:
         raise error

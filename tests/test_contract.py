@@ -37,7 +37,8 @@ from conset.algebra import (
     with_top_unique,
 )
 from conset.cli import main
-from conset.errors import CalculusError, MalformedGraph, NotAStructure
+from conset.corpus import generate
+from conset.errors import CalculusError, MalformedGraph, NotAPermutation, NotAStructure
 from conset.expr import evaluate
 from conset.fusion import (
     BottomStructure,
@@ -392,9 +393,10 @@ class TestValidatedOnce:
         assert _scans(monkeypatch, fuse_middle, a, b, reader="_bottom") == 0
 
     @pytest.mark.parametrize("reader", ["_read", "_bottom"])
-    def test_a_closed_fused_pair_and_a_wiring_read_each_middle_once(self, monkeypatch, reader):
-        # each builds two middles and fuses them: the three middles are read
-        # once each, and fuse_middle and close find them in the memo
+    def test_a_closed_fused_pair_and_a_wiring_read_only_the_fused_middle(self, monkeypatch, reader):
+        # each builds two middles and fuses them: the two built middles are
+        # read from their construction, the fused one by one walk, and
+        # fuse_middle and close find all three in the memo
         def quad():
             return close(fuse_middle(middle([Z(2), vn(2)]), middle([vn(1), Z(3)])))
 
@@ -403,8 +405,17 @@ class TestValidatedOnce:
 
         for op in (quad, wiring):
             _clear()
-            assert _scans(monkeypatch, op, reader=reader) == 3
+            assert _scans(monkeypatch, op, reader=reader) == 1
             assert _scans(monkeypatch, op, reader=reader) == 0
+
+    @pytest.mark.parametrize("reader", ["_read", "_bottom"])
+    def test_a_built_middle_is_closed_with_no_walk(self, monkeypatch, reader):
+        def built():
+            return close(middle([Z(2), vn(2)])), close(middle_permutation([1, 2, 0]))
+
+        _clear()
+        assert _scans(monkeypatch, built, reader=reader) == 0
+        assert fusion._BUILT == {}
 
 
 class TestRememberedReadings:
@@ -511,6 +522,81 @@ class TestRememberedReadings:
             middle_structure(h)
         assert _scans(monkeypatch, close, first) == 1
         assert fusion._read_middle.cache_info().currsize == 16
+
+
+# entries for built middles: corpus sets, slot and branch markers, tuples,
+# middles, numerals and the diamond
+ENTRIES = [
+    *generate(3, 12, max_depth=3),
+    position(0),
+    position(2),
+    branch(0, Z(2)),
+    branch(1, position(1)),
+    branch(3, EMPTY),
+    make_tuple([EMPTY, Z(1)]),
+    make_tuple([position(1)]),
+    middle([Z(2), vn(2)]).set,
+    middle_permutation([1, 0]).set,
+    Z(0),
+    Z(4),
+    vn(3),
+    diamond(),
+]
+
+
+def _walked(h):
+    """The middle reading a walk of h gives, past the memo."""
+    assert fusion._BUILT == {}
+    return fusion._read_middle.__wrapped__(h, 0)
+
+
+class TestBuiltReadings:
+    # middle and middle_permutation take their reading from how they build
+    # their set; it must be the reading a walk gives
+    @FUZZ
+    @given(st.lists(st.sampled_from(ENTRIES), min_size=1, max_size=5))
+    def test_a_middle_is_read_as_a_walk_reads_it(self, es):
+        m = middle(es)
+        assert fusion._read_middle(m.set, 0) == _walked(m.set)
+
+    @FUZZ
+    @given(st.integers(1, 8))
+    def test_an_identity_is_read_as_a_walk_reads_it(self, k):
+        m = middle_identity(k)
+        assert fusion._read_middle(m.set, 0) == _walked(m.set)
+
+    @FUZZ
+    @given(st.integers(1, 6).flatmap(lambda k: st.permutations(range(k))))
+    def test_a_wiring_is_read_as_a_walk_reads_it(self, perm):
+        m = middle_permutation(perm)
+        assert fusion._read_middle(m.set, 0) == _walked(m.set)
+
+    def test_nothing_is_left_behind_by_a_refused_middle(self, monkeypatch):
+        with pytest.raises(ValueError, match="^a middle structure needs at least one entry$"):
+            middle([])
+        with pytest.raises(TypeError, match="^replace takes sets, got int, SetHandle, SetHandle$"):
+            middle([5])
+        with pytest.raises(NotAPermutation, match=r"^\[0, 0\] is not a permutation of 0..1$"):
+            middle_permutation([0, 0])
+        assert fusion._BUILT == {}
+
+        def fails(h, offset):
+            raise RuntimeError("no reading")
+
+        monkeypatch.setattr(fusion, "_read_middle", fails)
+        for build in (lambda: middle([EMPTY]), lambda: middle_permutation([0])):
+            with pytest.raises(RuntimeError):
+                build()
+            assert fusion._BUILT == {}
+
+    def test_fuse_middle_still_walks_what_it_fuses(self):
+        # both sides are valid middles, but their fusion is not one: slot 1
+        # of the wiring becomes the numeral branch 1 of b, a bare slot
+        a = middle_permutation([1, 0])
+        b = make_set([_branch(0, position(0)), _branch(1, Z(1))])
+        assert validate_middle(b) == MiddleStructure(b, 2, 0)
+        with pytest.raises(NotAStructure, match="^a bare position marker doubles as a branch marker$"):
+            fuse_middle(a, b)
 
 
 # Fuzzing: hand-built inputs through the public surface; only CalculusError
