@@ -8,8 +8,13 @@ which owns their format.  This module knows one thing of a slot's shape:
 _read passes over a node unless it has two elements, the first a
 singleton, before it asks _slot whether the node is a slot.
 
-Middle structures are both at once and form a monoid under fusion; closing a
-middle structure grounds both sides, turning its branches into a plain set.
+Middle structures are both at once.  Those built by middle, middle_identity
+and middle_permutation, and their fusions, form a monoid under fusion, with
+middle_identity(m) the identity at arity m.  A valid middle built by hand
+can fall outside it: fusing middle_permutation([1, 0]) onto one can fail
+(TestBuiltReadings::test_fuse_middle_still_walks_what_it_fuses in
+tests/test_contract.py pins such a pair).  Closing a middle structure
+grounds both sides, turning its branches into a plain set.
 The double-turnstile queries ask whether such a decomposition exists at all,
 with exact verification: the top query searches assignments under a budget,
 the bottom query walks x once.
@@ -419,7 +424,13 @@ def middle_permutation(perm: Sequence[int]) -> MiddleStructure:
 def fuse_middle(
     a: SetHandle | MiddleStructure, b: SetHandle | MiddleStructure
 ) -> MiddleStructure:
-    """Fuse a (as top) onto b (as bottom); middle structures form a monoid."""
+    """Fuse a (as top) onto b (as bottom).
+
+    Middles built by middle, middle_identity and middle_permutation, and
+    their fusions, form a monoid under it.  A valid middle built by hand can
+    fall outside it: TestBuiltReadings::test_fuse_middle_still_walks_what_it_fuses
+    pins a pair whose fusion raises NotAStructure.
+    """
     av, mb = _as(middle_structure, a), _as(middle_structure, b)
     bv = _read_middle(mb.set, mb.offset)[1]  # read by the check just made
     if av.arity != bv.arity:

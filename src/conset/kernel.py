@@ -63,6 +63,10 @@ class SetHandle:
     occurrences: one for the set plus the instances of each element.  size is
     the length of the canonical text: 2 for {}, otherwise the braces, the
     commas and the sizes of the elements.
+
+    A handle is the one handle of its set, so copy.copy and copy.deepcopy
+    give it back.  Pickling is not handled yet: a pickled handle loads as
+    a second handle for its set.
     """
 
     __slots__ = ("uid", "children", "rank", "instances", "size", "_text")
@@ -114,6 +118,12 @@ class SetHandle:
 
     def __iter__(self):
         return iter(self.children)
+
+    def __copy__(self) -> "SetHandle":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "SetHandle":
+        return self
 
     def __lt__(self, other: "SetHandle") -> bool:
         """Whether self's canonical text sorts before other's, character by

@@ -1,6 +1,7 @@
 """Canonical text kernel: parsing, printing, interning, constituents."""
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 import random
@@ -32,6 +33,7 @@ from conset import (
     maximal_elements,
     parse,
     replace,
+    structure_of,
     to_text,
     union,
 )
@@ -107,6 +109,14 @@ class TestMakeSet:
         assert a is b
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_copies_are_the_handle(self):
+        x = parse("{{},{{{{}}}}}")
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert structure_of(copy.deepcopy(x)) == structure_of(x)
+        assert is_constituent(zermelo(3), copy.deepcopy(x))
+        assert copy.deepcopy(structure_of(x)).tags[0] is EMPTY
 
 
 def _fresh():

@@ -4,9 +4,10 @@ what they show.
 A console line `$ conset ...` runs through cli.main; the lines after it, up to
 the next `$` or the end of the block, are its stdout.  A last line `...` means
 the output only starts with the lines above it, and a command shown without
-output is only run.
+output is only run.  The commands CI runs are the ones the README lists.
 """
 
+import re
 import shlex
 from pathlib import Path
 
@@ -15,6 +16,13 @@ import pytest
 from conset.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tests.yml"
+# every check is a test, so CI installs, runs tier-1 and runs the scale module
+CI_COMMANDS = [
+    "python -m pip install pytest hypothesis",
+    "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=10",
+    "python -m pytest -q tests/scale_checks.py",
+]
 
 
 def _blocks(lang: str) -> list[list[str]]:
@@ -67,3 +75,10 @@ def test_console_line(capsys, argv, expected):
         assert out[: len(expected) - 1] == expected[:-1]
     elif expected:
         assert out == expected
+
+
+def test_ci_runs_only_the_listed_commands():
+    runs = re.findall(r"^\s*(?:- )?run:(.*)$", WORKFLOW.read_text(encoding="utf-8"), re.M)
+    assert [r.strip() for r in runs] == CI_COMMANDS
+    readme = README.read_text(encoding="utf-8")
+    assert all(command in readme for command in CI_COMMANDS)

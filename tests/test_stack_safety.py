@@ -14,10 +14,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from _oracles import permute_graph, replace_by_text
+from _oracles import replace_by_text
+from _shapes import fan, shuffled
 from conset import (
     MalformedText,
-    StructureGraph,
     as_vn,
     canonical_cert,
     compose,
@@ -153,18 +153,12 @@ class TestDeepText:
 class TestWideDiagrams:
     def test_certificate_of_a_wide_fan(self):
         # bottom 0 and top 1 joined by 1,200 chains of two edges, relabelled
-        k = 1200
-        edges = [(0, m) for m in range(2, k + 2)] + [(m, 1) for m in range(2, k + 2)]
-        fan = StructureGraph(
-            tags=(None,) * (k + 2), edges=tuple(edges), top=1, bottom=0
-        )
-        perm = list(range(k + 2))
-        random.Random(3).shuffle(perm)
-        relabelled = permute_graph(fan, perm)
-        assert canonical_cert(relabelled) == canonical_cert(fan)
-        w = isomorphic(fan, relabelled)
+        g = fan(*[1] * 1200)
+        relabelled = shuffled(g, random.Random(3))
+        assert canonical_cert(relabelled) == canonical_cert(g)
+        w = isomorphic(g, relabelled)
         assert w is not None
-        mapped = {(w.mapping[a], w.mapping[b]) for a, b in fan.edges}
+        mapped = {(w.mapping[a], w.mapping[b]) for a, b in g.edges}
         assert mapped == set(relabelled.edges)
 
 

@@ -15,6 +15,7 @@ import pytest
 
 import _oracles as oracles
 from _oracles import oracle
+from _shapes import cfi, fan, layered_dag, shuffled
 import conset
 import conset.structure as structure
 from conset import (
@@ -41,121 +42,24 @@ from conset.numerals import vn, zermelo
 from conset.tuples import diamond
 
 
-def _fan(*lengths: int) -> StructureGraph:
-    """Bottom 0 and top 1 joined by one chain per length, of that many vertices."""
-    edges = []
-    nxt = 2
-    for k in lengths:
-        below = 0
-        for v in range(nxt, nxt + k):
-            edges.append((below, v))
-            below = v
-        edges.append((below, 1))
-        nxt += k
-    return StructureGraph(
-        tags=(None,) * nxt, edges=tuple(sorted(edges)), top=1, bottom=0
-    )
-
-
-def _cfi(base: int, seed: int, twisted: bool) -> StructureGraph:
-    """A Cai-Furer-Immerman graph on four levels over a random 3-regular
-    graph of `base` vertices, with its first edge twisted when asked.
-
-    The base graph is drawn from the configuration model, again until it
-    has no loop and no repeated edge.  Level 1: for each base vertex x and
-    each even subset S of its three edges, a vertex m(x, S) above the
-    bottom.  Level 2: for each edge e at x and each bit b, a vertex
-    a(x, e, b) above the m(x, S) with [e in S] = b.  Level 3: for each edge
-    e = {x, y} and each bit b, a vertex p(e, b) above a(x, e, b) and
-    a(y, e, b), or a(y, e, 1 - b) on the twisted edge.  The top is above
-    every p.  Color refinement does not tell the two twists apart, yet they
-    are not isomorphic.
-    """
-    rng = random.Random(seed)
-    while True:
-        points = [v for v in range(base) for _ in range(3)]
-        rng.shuffle(points)
-        pairs = [tuple(sorted(points[i : i + 2])) for i in range(0, len(points), 2)]
-        if all(x != y for x, y in pairs) and len(set(pairs)) == len(pairs):
-            break
-    ends: list[list[int]] = [[] for _ in range(base)]
-    for e, pair in enumerate(pairs):
-        for x in pair:
-            ends[x].append(e)
-    n = 1 + 4 * base + 6 * base + 2 * len(pairs) + 1
-    a = {}  # (x, e, b) -> vertex
-    edges = []
-    nxt = 1
-    for x in range(base):
-        for e in ends[x]:
-            for b in (0, 1):
-                a[x, e, b] = nxt
-                nxt += 1
-    for x in range(base):
-        for subset in ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)):
-            edges.append((0, nxt))
-            edges += [(nxt, a[x, e, b]) for e, b in zip(ends[x], subset)]
-            nxt += 1
-    for e, (x, y) in enumerate(pairs):
-        for b in (0, 1):
-            flip = int(twisted and e == 0)
-            edges += [(a[x, e, b], nxt), (a[y, e, b ^ flip], nxt), (nxt, n - 1)]
-            nxt += 1
-    return StructureGraph(
-        tags=(None,) * n, edges=tuple(sorted(edges)), top=n - 1, bottom=0
-    )
-
-
-def _layered_dag(seed: int) -> StructureGraph:
-    """A seeded random diagram on at most 9 vertices, edges between layers.
-
-    Each vertex gets lower covers from the layer below and at least one
-    upper cover in the layer above, so the bottom and the top are the only
-    source and sink; narrow layers make twins and automorphisms common.
-    """
-    rng = random.Random(seed)
-    n = rng.randint(3, 9)
-    layers = [[0]]
-    v = 1
-    while v < n - 1:
-        k = rng.randint(1, min(3, n - 1 - v))
-        layers.append(list(range(v, v + k)))
-        v += k
-    layers.append([n - 1])
-    edges: set[tuple[int, int]] = set()
-    for below, above in zip(layers, layers[1:]):
-        for u in above:
-            for w in rng.sample(below, rng.randint(1, len(below))):
-                edges.add((w, u))
-        for w in below:
-            if all(a != w for a, _ in edges):
-                edges.add((w, rng.choice(above)))
-    return StructureGraph(
-        tags=(None,) * n, edges=tuple(sorted(edges)), top=n - 1, bottom=0
-    )
-
-
 SHAPES = {
-    "fan-1x5": _fan(1, 1, 1, 1, 1),
-    "fan-3x3": _fan(3, 3, 3),
-    "fan-2x2": _fan(2, 2),
-    "fan-1-3": _fan(1, 3),
-    "fan-1-2-3": _fan(1, 2, 3),
-    "fan-1-1-2-2": _fan(1, 1, 2, 2),
-    "fan-1-1-1-3-3": _fan(1, 1, 1, 3, 3),
-    "branch-fan-5": _fan(2, 2, 2, 2, 2),
-    "product-fan-1x2-fan-2x2": graph_product(_fan(1, 1), _fan(2, 2)),
-    "product-fan-1-2-fan-1x2": graph_product(_fan(1, 2), _fan(1, 1)),
-    "product-fan-2x2-fan-1x2": graph_product(_fan(2, 2), _fan(1, 1)),
-    **{f"layered-{seed}": _layered_dag(seed) for seed in range(40)},
+    "fan-1x5": fan(1, 1, 1, 1, 1),
+    "fan-3x3": fan(3, 3, 3),
+    "fan-2x2": fan(2, 2),
+    "fan-1-3": fan(1, 3),
+    "fan-1-2-3": fan(1, 2, 3),
+    "fan-1-1-2-2": fan(1, 1, 2, 2),
+    "fan-1-1-1-3-3": fan(1, 1, 1, 3, 3),
+    "branch-fan-5": fan(2, 2, 2, 2, 2),
+    "product-fan-1x2-fan-2x2": graph_product(fan(1, 1), fan(2, 2)),
+    "product-fan-1-2-fan-1x2": graph_product(fan(1, 2), fan(1, 1)),
+    "product-fan-2x2-fan-1x2": graph_product(fan(2, 2), fan(1, 1)),
+    **{f"layered-{seed}": layered_dag(seed) for seed in range(40)},
 }
 
 
 def _relabelled(name: str) -> StructureGraph:
-    g = SHAPES[name]
-    perm = list(range(g.n))
-    random.Random(name).shuffle(perm)
-    return oracles.permute_graph(g, perm)
+    return shuffled(SHAPES[name], random.Random(name))
 
 
 # every pair of shapes that counts of vertices and edges cannot tell apart,
@@ -253,11 +157,7 @@ class TestCanonicalCert:
         rng = random.Random(5)
         for x in corpus200[:60]:
             g = structure_of(x)
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            assert canonical_cert(oracles.permute_graph(g, perm)) == (
-                canonical_cert(g)
-            )
+            assert canonical_cert(shuffled(g, rng)) == canonical_cert(g)
 
     def test_agrees_with_brute_force(self, corpus200):
         small = [structure_of(x) for x in corpus200 if len(x.text) // 2 <= 40]
@@ -307,7 +207,7 @@ class TestSymmetricShapes:
             return refine(*args)
 
         monkeypatch.setattr(structure, "_refine", counting)
-        canonical_cert(_fan(*[2] * k))
+        canonical_cert(fan(*[2] * k))
         assert len(calls) <= k * k
 
 
@@ -338,9 +238,9 @@ def _refine_both(
 
 REFINED_SHAPES = {
     **SHAPES,
-    **{f"branch-fan-{k}": _fan(*[2] * k) for k in range(2, 13)},
-    "cfi-10": _cfi(10, 1, False),
-    "cfi-10-twisted": _cfi(10, 1, True),
+    **{f"branch-fan-{k}": fan(*[2] * k) for k in range(2, 13)},
+    "cfi-10": cfi(10, 1, False),
+    "cfi-10-twisted": cfi(10, 1, True),
 }
 
 
@@ -367,7 +267,7 @@ class TestRefinement:
         # and above, once; re-signing all 102 vertices every round, with a
         # last round that finds nothing moved, read 408 lists
         k = 50
-        g = _fan(*[2] * k)
+        g = fan(*[2] * k)
         lowers, uppers, _ = structure._diagram(g)
         colors = oracles.refine_full(g.n, g.edges, oracles.base_colors(g))
         pos, cells = _cells(colors)
@@ -410,9 +310,7 @@ class TestCFIPair:
     def test_relabelled_copies_keep_their_certificates(self):
         rng = random.Random(3)
         for g in CFI_PAIR:
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            assert canonical_cert(oracles.permute_graph(g, perm)) == canonical_cert(g)
+            assert canonical_cert(shuffled(g, rng)) == canonical_cert(g)
 
 
 class TestIsomorphic:
@@ -435,9 +333,7 @@ class TestIsomorphic:
         rng = random.Random(9)
         for x in corpus200[:40]:
             g = structure_of(x)
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            h = oracles.permute_graph(g, perm)
+            h = shuffled(g, rng)
             w = isomorphic(g, h)
             assert w is not None
             mapped = {(w.mapping[a], w.mapping[b]) for a, b in g.edges}
