@@ -8,12 +8,15 @@ which owns their format.  This module knows one thing of a slot's shape:
 _read passes over a node unless it has two elements, the first a
 singleton, before it asks _slot whether the node is a slot.
 
-Middle structures are both at once.  Those built by middle, middle_identity
-and middle_permutation, and their fusions, form a monoid under fusion, with
-middle_identity(m) the identity at arity m.  A valid middle built by hand
-can fall outside it: fusing middle_permutation([1, 0]) onto one can fail
-(TestBuiltReadings::test_fuse_middle_still_walks_what_it_fuses in
-tests/test_contract.py pins such a pair).  Closing a middle structure
+Middle structures are both at once.  Call a middle wired when part n is
+the branch marker n over compose(e_n, P_s(n)), for entries e and a
+permutation s of its slots P: middle builds the wired middles with s the
+identity, middle_permutation those whose entries are all {}, and
+middle_identity(m) is middle of m empty entries.  Wired middles form a
+monoid under fuse_middle, with middle_identity(m) the unit at arity m (the
+proof is fuse_middle's).  A valid middle built by hand need not be wired,
+and fusing one can fail: TestBuiltReadings::test_fuse_middle_still_walks_what_it_fuses
+in tests/test_contract.py pins such a pair.  Closing a middle structure
 grounds both sides, turning its branches into a plain set.
 The double-turnstile queries ask whether such a decomposition exists at all,
 with exact verification: the top query searches assignments under a budget,
@@ -22,13 +25,16 @@ the bottom query walks x once.
 A structure record is a reading of its set, and each function here that
 takes one checks it against a true reading of that set.  Sets are interned,
 so a middle reading is a pure function of the set and the offset, and the
-16 middle readings used last are memoized.  middle and middle_permutation
-know the reading of the set they build from how they build it, and put it
-in the memo with no walk; fuse_middle walks the set it fuses, since the
-fusion of two valid middles built by hand need not be a middle.  So in
-close(fuse_middle(middle(a), middle(b))) only the fused set is walked, and
-close finds its reading in the memo.  A record is still compared with the
-reading of its set.  Tops and bottoms are read on every call.
+16 middle readings used last are memoized, each with the branch every
+marker wraps.  middle and middle_permutation know the reading of the set
+they build from how they build it, and put it in the memo with no walk,
+marked as read from construction; fuse_middle, given two middles read that
+way, knows the reading of their fusion the same way, since it is wired
+too.  So close(fuse_middle(middle(a), middle(b))) walks no set and parses
+no marker.  A middle read by a walk is not known to be wired, so
+fuse_middle walks what it fuses when either side was read by a walk.  A
+record is still compared with the reading of its set.  Tops and bottoms
+are read on every call.
 """
 
 from __future__ import annotations
@@ -213,23 +219,25 @@ def bottom_structure(h: SetHandle, offset: int = 0) -> BottomStructure:
     _require_int(offset, "offset")
     if h is EMPTY:
         raise NotAStructure("the empty set carries no markers")
-    return _bottom(h, offset, _maximal_proper(h))
+    return _bottom(h, offset, _maximal_proper(h))[0]
 
 
-def _bottom(h: SetHandle, offset: int, maximal: list[SetHandle]) -> BottomStructure:
-    markers: dict[int, SetHandle] = {}
+def _bottom(
+    h: SetHandle, offset: int, maximal: list[SetHandle]
+) -> tuple[BottomStructure, tuple[SetHandle, ...]]:
+    """The bottom the maximal markers describe, and the branch each wraps."""
+    parsed: dict[int, tuple[SetHandle, SetHandle]] = {}
     for m in maximal:
-        n, _ = _parse_marker(m)
-        if n in markers:
+        n, x = _parse_marker(m)
+        if n in parsed:
             raise NotAStructure(f"two maximal markers share index {n}")
-        markers[n] = m
-    ks = sorted(markers)
+        parsed[n] = m, x
+    ks = sorted(parsed)
     _require_contiguous(ks, offset)
-    return BottomStructure(
-        set=h,
-        arity=len(ks),
-        offset=offset,
-        markers=tuple(markers[k] for k in ks),
+    markers = tuple(parsed[k][0] for k in ks)
+    return (
+        BottomStructure(set=h, arity=len(ks), offset=offset, markers=markers),
+        tuple(parsed[k][1] for k in ks),
     )
 
 
@@ -237,36 +245,54 @@ def middle_structure(h: SetHandle, offset: int = 0) -> MiddleStructure:
     """Validate h as a middle structure (strict: raises NotAStructure)."""
     _require_set(h)
     _require_int(offset, "offset")
-    return _read_middle(h, offset)[0]
+    return _read_middle(h, offset).middle
 
 
-# the reading of each middle that middle or middle_permutation is building,
-# by its set, for _read_middle to memoize in place of a walk; every entry is
-# the true reading of its set, so a thread may take another thread's
-_BUILT: dict[SetHandle, tuple[MiddleStructure, BottomStructure]] = {}
+class _Reading(NamedTuple):
+    """A set read as a middle by a walk: its two records and the branch each
+    marker wraps, in marker order."""
+
+    middle: MiddleStructure
+    bottom: BottomStructure
+    branches: tuple[SetHandle, ...]
+    built = False
 
 
-# a reading's records are immutable, so callers can share it; typed keeps an
-# offset of True apart from one of 1
+class _Built(_Reading):
+    """A reading taken from how a wired middle was built.  It is a tuple of
+    the same fields, so it equals the reading a walk of the set gives."""
+
+    __slots__ = ()
+    built = True
+
+
+# the reading of each wired middle that middle, middle_permutation or
+# fuse_middle is building, by its set, for _read_middle to memoize in place
+# of a walk; every entry is the true reading of its set, so a thread may
+# take another thread's
+_BUILT: dict[SetHandle, _Reading] = {}
+
+
+# a reading is immutable, so callers can share it; typed keeps an offset of
+# True apart from one of 1
 @functools.lru_cache(maxsize=16, typed=True)
-def _read_middle(h: SetHandle, offset: int) -> tuple[MiddleStructure, BottomStructure]:
-    """One walk reads h for both readings; the top is checked first.  The
-    bottom reading holds the markers, which close and fuse_middle read from
-    here without parsing them again.  A set that middle or
-    middle_permutation is building is not walked: its reading at offset 0
-    is the one _BUILT holds for it."""
+def _read_middle(h: SetHandle, offset: int) -> _Reading:
+    """One walk reads h for both records; the top is checked first.  The
+    branches are parsed once, here, so close and fuse_middle read them from
+    the reading.  A set that is being built is not walked: its reading at
+    offset 0 is the one _BUILT holds for it."""
     if type(offset) is int and offset == 0:
         built = _BUILT.get(h)
         if built is not None:
             return built
     slots, bypass, maximal = _read(h)
     arity = _top_arity(slots, bypass, offset)
-    b = _bottom(h, offset, maximal)
+    b, branches = _bottom(h, offset, maximal)
     if arity != b.arity:
         raise NotAStructure(f"slot arity {arity} differs from marker arity {b.arity}")
     if any(_slot(m) is not None for m in b.markers):
         raise NotAStructure("a bare position marker doubles as a branch marker")
-    return MiddleStructure(set=h, arity=arity, offset=offset), b
+    return _Reading(MiddleStructure(set=h, arity=arity, offset=offset), b, branches)
 
 
 def _or_none(
@@ -378,23 +404,30 @@ def middle(entries: Sequence[SetHandle]) -> MiddleStructure:
     """
     if not entries:
         raise ValueError("a middle structure needs at least one entry")
-    parts = [
-        _branch(n, compose(e, p))
-        for n, (e, p) in enumerate(zip(entries, _positions(len(entries))))
-    ]
-    return _built(parts)
+    branches = [compose(e, p) for e, p in zip(entries, _positions(len(entries)))]
+    return _built(branches)
 
 
-def _built(parts: list[SetHandle]) -> MiddleStructure:
-    """The middle whose markers are parts, numbered from 0, read from its
-    construction: its reading is memoized as if _read_middle had walked it."""
-    h = make_set(parts)
-    _BUILT[h] = (
-        MiddleStructure(set=h, arity=len(parts), offset=0),
-        BottomStructure(set=h, arity=len(parts), offset=0, markers=tuple(parts)),
+def _built(
+    branches: Sequence[SetHandle],
+    parts: Sequence[SetHandle] | None = None,
+    h: SetHandle | None = None,
+) -> MiddleStructure:
+    """The wired middle whose part n wraps branches[n] as marker n, read
+    from its construction: its reading is memoized as if _read_middle had
+    walked it.  A caller that has the parts, or their set, passes them."""
+    if parts is None:
+        parts = [_branch(n, x) for n, x in enumerate(branches)]
+    if h is None:
+        h = make_set(parts)
+    m = len(parts)
+    _BUILT[h] = _Built(
+        MiddleStructure(set=h, arity=m, offset=0),
+        BottomStructure(set=h, arity=m, offset=0, markers=tuple(parts)),
+        tuple(branches),
     )
     try:
-        return _read_middle(h, 0)[0]
+        return _read_middle(h, 0).middle
     finally:
         _BUILT.pop(h, None)
 
@@ -418,39 +451,74 @@ def middle_permutation(perm: Sequence[int]) -> MiddleStructure:
     if sorted(perm) != list(range(len(perm))):
         raise NotAPermutation(f"{list(perm)} is not a permutation of 0..{len(perm) - 1}")
     slots = _positions(len(perm))
-    return _built([_branch(n, slots[p]) for n, p in enumerate(perm)])
+    return _built([slots[p] for p in perm])
 
 
 def fuse_middle(
     a: SetHandle | MiddleStructure, b: SetHandle | MiddleStructure
 ) -> MiddleStructure:
-    """Fuse a (as top) onto b (as bottom).
+    """Fuse a (as top) onto b (as bottom): slot k of a becomes branch k of b.
 
-    Middles built by middle, middle_identity and middle_permutation, and
-    their fusions, form a monoid under it.  A valid middle built by hand can
-    fall outside it: TestBuiltReadings::test_fuse_middle_still_walks_what_it_fuses
-    pins a pair whose fusion raises NotAStructure.
+    A middle is wired when part n is _branch(n, compose(e_n, P_s(n))) for
+    entries e and a permutation s; middle is the case s = id, and
+    middle_permutation the case where every entry is {}.  Fusion keeps a
+    middle wired: a = (sa, ea) fused onto b = (sb, eb) is the wired middle
+    (sb . sa, [compose(ea_n, eb_sa(n))]).
+
+    1. By middle's step 1, the only slot in part n of a is P_sa(n), where
+       ea_n had {}, and every other node of the part holds it; no wrap or
+       diamond level is a slot.  So the substitution rebuilds part n as
+       _branch(n, compose(ea_n, B)), with B = compose(eb_sa(n), P_sb(sa(n)))
+       the branch of b it puts in place of P_sa(n).
+    2. compose is associative, so that branch is
+       compose(compose(ea_n, eb_sa(n)), P_sb(sa(n))), and sb . sa is a
+       permutation.
+
+    Steps 1-4 of middle's proof hold for any permutation, since P_s(n) lies
+    in part n only.  So the reading of the result follows from the
+    construction: the substitution rebuilds a's marker n and branch n into
+    the result's, and its memo holds them, so when both sides were read
+    from construction the result is neither walked nor parsed.  For the
+    same reason fusion is associative on wired middles, and
+    middle_identity(m), with every entry {} and s = id, is its unit on
+    both sides at arity m.
+
+    A middle read by a walk need not be wired, and the fusion of two valid
+    middles need not be a middle: TestBuiltReadings::test_fuse_middle_still_walks_what_it_fuses
+    pins a pair whose fusion raises NotAStructure.  So when either side was
+    read by a walk, the result is walked.
     """
-    av, mb = _as(middle_structure, a), _as(middle_structure, b)
-    bv = _read_middle(mb.set, mb.offset)[1]  # read by the check just made
+    av, bv = _as(middle_structure, a), _as(middle_structure, b)
+    # both read by the checks just made
+    ra, rb = _read_middle(av.set, av.offset), _read_middle(bv.set, bv.offset)
     if av.arity != bv.arity:
         raise ArityMismatch(f"arity {av.arity} fused with arity {bv.arity}")
-    # a middle is a top with the same fields
-    return middle_structure(_fuse(TopStructure(*av), bv))
+    if av.offset != 0 or bv.offset != 0:
+        raise TerminalMismatch("fusion requires marker indices starting at 0")
+    table = dict(zip(_positions(av.arity), rb.branches))
+    h = _substitute(av.set, table)
+    if not (ra.built and rb.built):
+        return middle_structure(h)
+    rebuilt = table.__getitem__
+    return _built(
+        tuple(map(rebuilt, ra.branches)), tuple(map(rebuilt, ra.bottom.markers)), h
+    )
 
 
 def close(m: SetHandle | MiddleStructure) -> SetHandle:
     """Ground both sides of a middle structure: its branches become elements.
 
-    The branches are read off the middle's own markers, gathered as the
-    elements of one set, and their slots are grounded by fusing empty
-    branches onto them, so equal or nested branches cannot lose a marker.
+    The branches are the middle's reading's, parsed once when it was read
+    or known from construction, so close parses no marker.  They are
+    gathered as the elements of one set, and their slots are grounded by
+    fusing empty branches onto them, so equal or nested branches cannot
+    lose a marker.
     """
     mv = _as(middle_structure, m)
     if mv.offset != 0:
         raise TerminalMismatch("fusion requires marker indices starting at 0")
-    bv = _read_middle(mv.set, mv.offset)[1]  # read by the check just made
-    branches = [_parse_marker(mk)[1] for mk in bv.markers]
+    # read by the check just made
+    branches = _read_middle(mv.set, mv.offset).branches
     return _fuse_formula(make_set(branches), [EMPTY] * mv.arity)
 
 

@@ -65,8 +65,11 @@ class SetHandle:
     commas and the sizes of the elements.
 
     A handle is the one handle of its set, so copy.copy and copy.deepcopy
-    give it back.  Pickling is not handled yet: a pickled handle loads as
-    a second handle for its set.
+    give it back, and pickle.loads(pickle.dumps(h)) is h: a handle pickles
+    as the flat encoding of its subterms that _encode writes, and loads
+    through the intern table, in this interpreter or another, at any depth.
+    Nothing stops a direct SetHandle(children) call from building a second
+    handle for a set outside the table.
     """
 
     __slots__ = ("uid", "children", "rank", "instances", "size", "_text")
@@ -124,6 +127,9 @@ class SetHandle:
 
     def __deepcopy__(self, memo: dict) -> "SetHandle":
         return self
+
+    def __reduce__(self) -> tuple:
+        return _restore, (_encode(self),)
 
     def __lt__(self, other: "SetHandle") -> bool:
         """Whether self's canonical text sorts before other's, character by
@@ -573,6 +579,57 @@ def fold(
                     for r in reversed(above):
                         v = memo[r] = f(r, [v])
     return memo[h]
+
+
+def _encode(h: SetHandle) -> list[int]:
+    """The distinct subterms of h in post-order, h last, as one flat list: a
+    set of k elements, k != 1, as k and the indices of its elements, and a
+    run of c singletons over such a set as -c and that set's index.
+
+    One fold gives each subterm as (i, c), c singletons over the set of
+    index i; a run gets an index of its own only where it is an element of
+    a set of other than one element, or is h.  So a 10^5-deep chain is
+    three items, and no recursion limit bounds the depth.
+    """
+    code: list[int] = []
+    index: dict[tuple[int, int], int] = {}
+
+    def number(v: tuple[int, int]) -> int:
+        i = index.get(v)
+        if i is None:
+            code.extend((-v[1], v[0]))
+            i = index[v] = len(index)
+        return i
+
+    def item(w: SetHandle, kids: list[tuple[int, int]]) -> tuple[int, int]:
+        if len(kids) == 1:
+            i, c = kids[0]
+            return i, c + 1
+        elems = [number(k) for k in kids]
+        code.append(len(elems))
+        code.extend(elems)
+        v = (len(index), 0)
+        index[v] = v[0]
+        return v
+
+    number(fold(h, item, {}))
+    return code
+
+
+def _restore(code: list[int]) -> SetHandle:
+    """The set _encode wrote, rebuilt through make_set and _wrap, so it is
+    the interned handle."""
+    made: list[SetHandle] = []
+    i = 0
+    while i < len(code):
+        k = code[i]
+        if k < 0:
+            made.append(_wrap(-k, made[code[i + 1]]))
+            i += 2
+        else:
+            made.append(make_set([made[j] for j in code[i + 1 : i + 1 + k]]))
+            i += 1 + k
+    return made[-1]
 
 
 def _below(roots: Iterable[SetHandle]) -> set[SetHandle]:

@@ -120,10 +120,34 @@ def test_wide_middles_fused_and_closed():
     assert cli("eval", "-", stdin=program, timeout=30) == want.encode()
 
 
+def test_wide_middles_fused_and_closed_with_no_walk():
+    # a 300-entry middle fused onto a 300-slot wiring, and the result fused
+    # onto the middle again: both fusions are wired middles, read from their
+    # operands' construction, so fusing and closing walk no set and parse no
+    # marker; the reading must be the one a walk gives, and the closed
+    # branches compose entry n with entry perm(n)
+    python("""
+        from conset import close, fuse_middle, fusion, make_set, middle, middle_permutation
+        from conset.numerals import zermelo
+        perm = [299 - n for n in range(300)]
+        m = middle([zermelo(n % 40) for n in range(300)])
+        calls = []
+        for name in ("_read", "_parse_marker"):
+            real = getattr(fusion, name)
+            setattr(fusion, name, lambda *a, real=real: calls.append(real) or real(*a))
+        f = fuse_middle(fuse_middle(m, middle_permutation(perm)), m)
+        closed = close(f)
+        assert calls == [], len(calls)
+        assert fusion._read_middle(f.set, 0) == fusion._read_middle.__wrapped__(f.set, 0)
+        assert closed is make_set([zermelo(n % 40 + perm[n] % 40) for n in range(300)])
+        """, timeout=30)
+
+
 def test_wide_middle_read_from_its_construction():
     # a 2,000-entry middle of numerals, slot markers, tuples, middles and
     # corpus sets is read from how middle builds it; that reading must be
     # the one a walk of its set gives, and close gives back the entries
+    # with no marker parsed, since the reading holds the branches
     python("""
         from conset import close, fusion, make_set, middle
         from conset.corpus import generate
@@ -140,8 +164,13 @@ def test_wide_middle_read_from_its_construction():
         ]
         es = [kinds[i % 6](i % 40) for i in range(2000)]
         m = middle(es)
-        assert fusion._read_middle(m.set, 0) == fusion._read_middle.__wrapped__(m.set, 0)
+        parsed = []
+        real = fusion._parse_marker
+        fusion._parse_marker = lambda mk: parsed.append(mk) or real(mk)
         assert close(m) is make_set(es)
+        assert parsed == [], len(parsed)
+        fusion._parse_marker = real
+        assert fusion._read_middle(m.set, 0) == fusion._read_middle.__wrapped__(m.set, 0)
         """, timeout=20)
 
 

@@ -11,6 +11,7 @@ its memo of the 16 middle readings used last when the set is among them.
 
 import sys
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -392,11 +393,11 @@ class TestValidatedOnce:
         assert _scans(monkeypatch, fuse_middle, a.set, b.set, reader="_bottom") == 3
         assert _scans(monkeypatch, fuse_middle, a, b, reader="_bottom") == 0
 
-    @pytest.mark.parametrize("reader", ["_read", "_bottom"])
-    def test_a_closed_fused_pair_and_a_wiring_read_only_the_fused_middle(self, monkeypatch, reader):
-        # each builds two middles and fuses them: the two built middles are
-        # read from their construction, the fused one by one walk, and
-        # fuse_middle and close find all three in the memo
+    @pytest.mark.parametrize("reader", ["_read", "_bottom", "_parse_marker"])
+    def test_a_closed_fused_pair_and_a_wiring_read_nothing(self, monkeypatch, reader):
+        # each builds two middles and fuses them: the built middles and
+        # their fusion are read from their construction, and fuse_middle and
+        # close find all three in the memo, branches and all
         def quad():
             return close(fuse_middle(middle([Z(2), vn(2)]), middle([vn(1), Z(3)])))
 
@@ -405,8 +406,17 @@ class TestValidatedOnce:
 
         for op in (quad, wiring):
             _clear()
-            assert _scans(monkeypatch, op, reader=reader) == 1
             assert _scans(monkeypatch, op, reader=reader) == 0
+            assert _scans(monkeypatch, op, reader=reader) == 0
+
+    def test_close_takes_the_branches_from_the_reading(self, monkeypatch):
+        # a walk parses each marker once, in _bottom; close parses none,
+        # whether its middle was built or walked
+        m = middle([Z(i % 50) for i in range(300)])
+        assert _scans(monkeypatch, close, m, reader="_parse_marker") == 0
+        _clear()
+        assert _scans(monkeypatch, close, m.set, reader="_parse_marker") == 300
+        assert _scans(monkeypatch, close, m, reader="_parse_marker") == 0
 
     @pytest.mark.parametrize("reader", ["_read", "_bottom"])
     def test_a_built_middle_is_closed_with_no_walk(self, monkeypatch, reader):
@@ -550,6 +560,22 @@ def _walked(h):
     return fusion._read_middle.__wrapped__(h, 0)
 
 
+def _wired(k):
+    """Makers of wired middles of arity k: middle of drawn entries, the
+    identity, and a drawn wiring.  A maker builds when the test calls it,
+    after the memo is cleared, so every reading starts from construction."""
+    return st.one_of(
+        st.lists(st.sampled_from(ENTRIES), min_size=k, max_size=k).map(lambda es: partial(middle, es)),
+        st.just(partial(middle_identity, k)),
+        st.permutations(range(k)).map(lambda p: partial(middle_permutation, p)),
+    )
+
+
+def _wired_tuples(n):
+    """n makers of wired middles of one drawn arity."""
+    return st.integers(1, 4).flatmap(lambda k: st.tuples(*[_wired(k)] * n))
+
+
 class TestBuiltReadings:
     # middle and middle_permutation take their reading from how they build
     # their set; it must be the reading a walk gives
@@ -588,6 +614,42 @@ class TestBuiltReadings:
             with pytest.raises(RuntimeError):
                 build()
             assert fusion._BUILT == {}
+
+    # fuse_middle takes the reading of a fusion of wired middles from their
+    # construction too; it must be the reading a walk gives, whichever side
+    # each operand is fused on
+    @FUZZ
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.tuples(
+                _wired(k), st.lists(st.tuples(_wired(k), st.booleans()), min_size=1, max_size=4)
+            )
+        )
+    )
+    def test_a_fusion_chain_is_read_as_a_walk_reads_it(self, chain):
+        first, steps = chain
+        _clear()
+        acc = first()
+        for make, on_top in steps:
+            m = make()
+            acc = fuse_middle(m, acc) if on_top else fuse_middle(acc, m)
+            got = fusion._read_middle(acc.set, 0)
+            assert got.built
+            assert got == _walked(acc.set)
+
+    @FUZZ
+    @given(_wired_tuples(3))
+    def test_fuse_middle_is_associative_on_wired_middles(self, makers):
+        a, b, c = (make() for make in makers)
+        assert fuse_middle(fuse_middle(a, b), c) == fuse_middle(a, fuse_middle(b, c))
+
+    @FUZZ
+    @given(_wired_tuples(2))
+    def test_the_identity_is_a_unit_on_both_sides(self, makers):
+        a, b = (make() for make in makers)
+        e = middle_identity(a.arity)
+        for m in (a, fuse_middle(a, b)):
+            assert fuse_middle(e, m) == m == fuse_middle(m, e)
 
     def test_fuse_middle_still_walks_what_it_fuses(self):
         # both sides are valid middles, but their fusion is not one: slot 1

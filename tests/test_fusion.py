@@ -258,7 +258,7 @@ class TestOneReader:
         m = middle([Z(1), Z(2)])
         h = make_set(m.set.children + (Z(1),))
         assert middle_structure(h).arity == 2
-        assert _read_middle(h, 0)[1].markers == bottom_structure(m.set).markers
+        assert _read_middle(h, 0).bottom.markers == bottom_structure(m.set).markers
         assert close(h) is close(m) is make_set([Z(1), Z(2)])
 
     def test_bottom_with_an_element_inside_its_marker(self):
@@ -311,7 +311,8 @@ class TestOneReader:
             mid = middle_markers_by_text(h.text)
             assert (validate_middle(h) is None) == (mid is None), h
             if mid is not None:
-                mv, bv = _read_middle(h, 0)
+                r = _read_middle(h, 0)
+                mv, bv = r.middle, r.bottom
                 assert mv.arity == len(mid)
                 assert [m.text for m in bv.markers] == mid
             outcomes.add((bottom is not None, mid is not None))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import itertools
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -117,6 +118,54 @@ class TestMakeSet:
         assert structure_of(copy.deepcopy(x)) == structure_of(x)
         assert is_constituent(zermelo(3), copy.deepcopy(x))
         assert copy.deepcopy(structure_of(x)).tags[0] is EMPTY
+
+
+def _round_trip(x, protocol=pickle.DEFAULT_PROTOCOL):
+    return pickle.loads(pickle.dumps(x, protocol))
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestPickle:
+    """A pickled handle loads as the handle of its set, at any depth."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(chains(), st.integers(0, pickle.HIGHEST_PROTOCOL))
+    def test_drawn_sets_load_as_their_handle(self, h, protocol):
+        assert _round_trip(h, protocol) is h
+
+    def test_deep_and_wide_sets_load_as_their_handle(self):
+        # the chain is one run and pickles in a few bytes; vn(200) is 201
+        # sets, each written once with the indices of its elements
+        deep = zermelo(10**5)
+        assert len(pickle.dumps(deep)) < 100
+        assert _round_trip(deep) is deep
+        assert _round_trip(vn(200)) is vn(200)
+
+    def test_a_diagram_loads_with_the_handles_as_tags(self):
+        x = make_set([vn(6), zermelo(9), diamond()])
+        g = structure_of(x)
+        got = _round_trip(g)
+        assert got == g
+        assert all(a is b for a, b in zip(got.tags, g.tags, strict=True))
+        assert is_constituent(zermelo(3), _round_trip(x))
+
+    def test_a_pickle_from_another_interpreter_loads_as_the_parsed_text(self):
+        text = "{{},{{{{}}}},{{},{{}},{{},{{}}}}}"
+        script = (
+            "import pickle, sys\n"
+            "from conset import parse\n"
+            "sys.stdout.buffer.write(pickle.dumps([parse(sys.argv[1]), parse(sys.argv[1])]))\n"
+        )
+        src = Path(conset.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", script, text],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+            check=True,
+        )
+        a, b = pickle.loads(out.stdout)
+        assert a is b is parse(text)
 
 
 def _fresh():
