@@ -5,8 +5,8 @@ bottom structure carries numbered branches, each wrapped as a numbered branch
 marker; fusion joins them by one simultaneous substitution of every slot by
 its branch.  Both kinds of marker are built and read through conset.tuples,
 which owns their format.  This module knows one thing of a slot's shape:
-_read passes over a node unless it has two elements, the first a
-singleton, before it asks _slot whether the node is a slot.
+_read's fold stops at slots, and asks _slot about a node only when it has
+two elements, the first a singleton.
 
 Middle structures are both at once.  Call a middle wired when part n is
 the branch marker n over compose(e_n, P_s(n)), for entries e and a
@@ -118,69 +118,39 @@ def _require_record(r: object) -> None:
         raise TypeError(f"expected a set or a structure record, got {type(r).__name__}")
 
 
-def _read(h: SetHandle) -> tuple[dict[int, SetHandle], list[SetHandle], list[SetHandle]]:
-    """One walk down h: its slots by number, the constituents met before a
-    slot that neither hold a slot nor lie inside one, and the elements of h
-    that lie inside no other element.
+def _holds(w: SetHandle, kids: list[bool]) -> bool:
+    """Whether w holds a slot: _read's fold callback."""
+    return True in kids
 
-    The walk keeps its own stack and stops at slots, which never nest.  What
-    lies inside them is read afterwards, and only when some node met holds
-    no slot, since a node that holds one lies inside none.  A run of
-    one-element sets is walked down in one loop and its values set in one
-    step, as fold does.  A slot has two elements and the first is a
-    singleton, so most nodes are passed over before _slot reads them.
+
+def _read(h: SetHandle) -> tuple[dict[int, SetHandle], list[SetHandle]]:
+    """One fold of h: its slots by number, and the constituents it reaches
+    that neither hold a slot nor lie inside one.
+
+    The fold stops at slots, which never nest; it never asks stop about its
+    root, so h is tested here first.  What lies inside the slots is read
+    afterwards, and only when some node reached holds no slot, since a node
+    that holds one lies inside none.  A slot has two elements and the first
+    is a singleton, so most nodes are passed over before _slot reads them.
     """
-    n = _slot(h)
-    if n is not None:
-        return {n: h}, [], _maximal_proper(h)
     slots: dict[int, SetHandle] = {}
-    holds: dict[SetHandle, bool] = {}
-    unheld: list[SetHandle] = []
-    # the elements of each node below h, added as the walk leaves it: an
-    # element of h lies inside another only if it is shorter, so the walk,
-    # taking h's elements in order, meets it first and finds it here later
-    below: set[SetHandle] = set()
-    # an entry is (node, children to visit, the run of singletons above node)
-    stack = [(h, iter(h.children), None)]
-    while stack:
-        node, todo, above = stack[-1]
-        for c in todo:
-            if c in holds:
-                continue
-            kids = c.children
-            run = None
-            if len(kids) == 1 and kids[0] not in holds:
-                run = [c]
-                c = kids[0]
-                kids = c.children
-                while len(kids) == 1 and kids[0] not in holds:
-                    run.append(c)
-                    c = kids[0]
-                    kids = c.children
-            if len(kids) == 2 and len(kids[0].children) == 1 and (n := _slot(c)) is not None:
-                slots[n] = c
-                holds[c] = True
-                if run is not None:
-                    holds.update(zip(run, itertools.repeat(True)))
-                continue
-            stack.append((c, iter(kids), run))
-            break
-        else:
-            stack.pop()
-            kids = node.children
-            held = holds[node] = any(map(holds.__getitem__, kids))
-            if node is not h:
-                below.update(kids)
-            if above is not None:
-                holds.update(zip(above, itertools.repeat(held)))
-            if not held:
-                unheld.append(node)
-                unheld.extend(above or ())
+
+    def slot(c: SetHandle) -> bool | None:
+        kids = c.children
+        if len(kids) == 2 and len(kids[0].children) == 1 and (n := _slot(c)) is not None:
+            slots[n] = c
+            return True
+        return None
+
+    if slot(h):
+        return slots, []
+    held: dict[SetHandle, bool] = {}
+    fold(h, _holds, held, stop=slot)
+    unheld = [x for x, v in held.items() if not v]
     if unheld:
         inside = _below(slots.values())
-        below |= inside
         unheld = [x for x in unheld if x not in inside]
-    return slots, unheld, [e for e in h.children if e not in below]
+    return slots, unheld
 
 
 def _require_contiguous(ks: list[int], offset: int) -> None:
@@ -192,12 +162,12 @@ def top_structure(h: SetHandle, offset: int = 0) -> TopStructure:
     """Validate h as a top structure (strict: raises NotAStructure)."""
     _require_set(h)
     _require_int(offset, "offset")
-    slots, bypass, _ = _read(h)
-    return TopStructure(set=h, arity=_top_arity(slots, bypass, offset), offset=offset)
+    return TopStructure(set=h, arity=_top_arity(h, offset), offset=offset)
 
 
-def _top_arity(slots: dict[int, SetHandle], bypass: list[SetHandle], offset: int) -> int:
-    """The arity of the top a reading describes; NotAStructure unless it is one."""
+def _top_arity(h: SetHandle, offset: int) -> int:
+    """The arity of h read as a top at offset; NotAStructure unless it is one."""
+    slots, bypass = _read(h)
     if not slots:
         raise NotAStructure("no position markers occur in the set")
     _require_contiguous(sorted(slots), offset)
@@ -219,15 +189,13 @@ def bottom_structure(h: SetHandle, offset: int = 0) -> BottomStructure:
     _require_int(offset, "offset")
     if h is EMPTY:
         raise NotAStructure("the empty set carries no markers")
-    return _bottom(h, offset, _maximal_proper(h))[0]
+    return _bottom(h, offset)[0]
 
 
-def _bottom(
-    h: SetHandle, offset: int, maximal: list[SetHandle]
-) -> tuple[BottomStructure, tuple[SetHandle, ...]]:
+def _bottom(h: SetHandle, offset: int) -> tuple[BottomStructure, tuple[SetHandle, ...]]:
     """The bottom the maximal markers describe, and the branch each wraps."""
     parsed: dict[int, tuple[SetHandle, SetHandle]] = {}
-    for m in maximal:
+    for m in _maximal_proper(h):
         n, x = _parse_marker(m)
         if n in parsed:
             raise NotAStructure(f"two maximal markers share index {n}")
@@ -285,9 +253,8 @@ def _read_middle(h: SetHandle, offset: int) -> _Reading:
         built = _BUILT.get(h)
         if built is not None:
             return built
-    slots, bypass, maximal = _read(h)
-    arity = _top_arity(slots, bypass, offset)
-    b, branches = _bottom(h, offset, maximal)
+    arity = _top_arity(h, offset)
+    b, branches = _bottom(h, offset)
     if arity != b.arity:
         raise NotAStructure(f"slot arity {arity} differs from marker arity {b.arity}")
     if any(_slot(m) is not None for m in b.markers):

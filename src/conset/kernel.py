@@ -68,13 +68,16 @@ class SetHandle:
     give it back, and pickle.loads(pickle.dumps(h)) is h: a handle pickles
     as the flat encoding of its subterms that _encode writes, and loads
     through the intern table, in this interpreter or another, at any depth.
-    Nothing stops a direct SetHandle(children) call from building a second
-    handle for a set outside the table.
+    Only make_set and _wrap, which intern what they build, pass the key the
+    constructor asks for; any other SetHandle(children) call raises
+    TypeError, so no second handle for a set is built outside the table.
     """
 
     __slots__ = ("uid", "children", "rank", "instances", "size", "_text")
 
-    def __init__(self, children: tuple["SetHandle", ...]):
+    def __init__(self, children: tuple["SetHandle", ...], key: object = None):
+        if key is not _INTERN:
+            raise TypeError("sets are made by make_set or parse, not SetHandle()")
         self.children = children
         if len(children) == 1:
             # a level of a run: everything is read off the one element
@@ -277,6 +280,8 @@ def _tail(h: SetHandle) -> str:
 _single: dict[SetHandle, SetHandle] = {}
 _table: dict[int | frozenset[SetHandle], SetHandle] = {}
 _ids = itertools.count()
+# the key SetHandle takes from make_set and _wrap, which intern what they build
+_INTERN = object()
 
 
 def _require_set(*hs: object) -> None:
@@ -327,13 +332,13 @@ def make_set(elems: Iterable[SetHandle]) -> SetHandle:
                     _require_set(*uniq)
                     raise
                 # setdefault keeps insert-if-absent atomic; a racing duplicate loses
-                h = _table.setdefault(key, SetHandle(children))
+                h = _table.setdefault(key, SetHandle(children, _INTERN))
             return h
     (e,) = uniq
     h = _single.get(e)
     if h is None:
         try:
-            h = SetHandle((e,))
+            h = SetHandle((e,), _INTERN)
         except AttributeError:
             _require_set(e)
             raise
@@ -356,7 +361,7 @@ def _wrap(n: int, x: SetHandle) -> SetHandle:
         for _ in range(n):
             h = single.get(x)
             if h is None:
-                h = single.setdefault(x, SetHandle((x,)))
+                h = single.setdefault(x, SetHandle((x,), _INTERN))
             x = h
     except (AttributeError, TypeError):
         _require_set(x)
@@ -511,6 +516,7 @@ def fold(
     f: Callable[[SetHandle, list[T]], T],
     memo: dict[SetHandle, T],
     floor: int = -1,
+    stop: Callable[[SetHandle], T | None] | None = None,
 ) -> T:
     """f(node, [values of node's children]) once per distinct subterm of h
     ranked above floor.
@@ -531,6 +537,12 @@ def fold(
     is _rebuild, the run is rebuilt by _wrap, with no call per level; memo
     still gets every level, since a level inside the run can also be reached
     from elsewhere in h.
+
+    stop, when given, is asked of each node fold would push a frame for: not
+    of h, nor of the levels of a run above such a node.  A value other than
+    None makes the node a leaf with that value, inside which nothing is
+    visited or stored, and the run above it is folded at once, one f call
+    per level.  stop is not combined with _rebuild.
     """
     if h not in memo:
         if h.rank <= floor:
@@ -562,6 +574,13 @@ def fold(
                         c = kids[0]
                         kids = c.children
                         n -= 1
+                if stop is not None and (v := stop(c)) is not None:
+                    # a leaf has no frame, so its run is folded here as the
+                    # pass below folds a frame's, less the _rebuild case
+                    memo[c] = v
+                    for r in reversed(run or ()):
+                        v = memo[r] = f(r, [v])
+                    continue
                 stack.append((c, iter(kids), run))
                 break
             else:

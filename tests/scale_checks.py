@@ -214,6 +214,26 @@ def test_wide_certificate_searches():
         """, timeout=20)
 
 
+def test_a_failing_property_prints_its_example(tmp_path):
+    # under the repository's warning filters, hypothesis must still report a
+    # failure: its patch writer imports libcst, which warns on import
+    (tmp_path / "test_fails.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 10
+        """))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_fails.py"],
+        capture_output=True, cwd=tmp_path, env=ENV, timeout=60,
+    )
+    out = done.stdout.decode() + done.stderr.decode()
+    assert done.returncode == 1, out[-2000:]
+    assert "Falsifying example" in out and "INTERNALERROR" not in out, out[-2000:]
+
+
 # Besides the memory cap, the decomposition search must answer
 # has_top_budget in budget, and handles keep text lengths, not texts, so
 # depth-10^5 chains and numerals whose text is too long to write fit under

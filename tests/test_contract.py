@@ -349,7 +349,8 @@ class TestBoundaryCases:
 
 def _scans(monkeypatch, op, *args, reader="_read"):
     """The number of calls op(*args) makes to reader: fusion's one walk of a
-    set, which every top and middle check reads, or its marker parse."""
+    set, which every top and middle check reads, the walk's callback, or its
+    marker parse."""
     seen = []
     real = getattr(fusion, reader)
     monkeypatch.setattr(fusion, reader, lambda *a: seen.append(a) or real(*a))
@@ -426,6 +427,19 @@ class TestValidatedOnce:
         _clear()
         assert _scans(monkeypatch, built, reader=reader) == 0
         assert fusion._BUILT == {}
+
+
+class TestReadStopsAtSlots:
+    # _read's fold calls _holds once per distinct constituent outside the
+    # slots and enters no slot
+    def test_holds_is_called_outside_the_slots_only(self, monkeypatch):
+        # the root and vn(1), ..., vn(7) rebuilt over slot 0 in place of
+        # {}; the second entry, {}, is slot 1 itself
+        t = make_tuple([vn(7), EMPTY])
+        assert _scans(monkeypatch, top_structure, t, reader="_holds") == 8
+        # the root and three levels above each slot
+        t = make_tuple([Z(3)] * 2)
+        assert _scans(monkeypatch, top_structure, t, reader="_holds") == 7
 
 
 class TestRememberedReadings:

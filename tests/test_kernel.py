@@ -119,6 +119,19 @@ class TestMakeSet:
         assert is_constituent(zermelo(3), copy.deepcopy(x))
         assert copy.deepcopy(structure_of(x)).tags[0] is EMPTY
 
+    def test_a_direct_constructor_call_is_refused(self):
+        # only the intern table's writers build a handle, so none is built
+        # for a set that already has one, and no uid is drawn
+        def refused():
+            for args in [(EMPTY,)], [(EMPTY,), None], [(EMPTY, zermelo(1)), object()]:
+                with pytest.raises(TypeError, match="make_set or parse"):
+                    conset.SetHandle(*args)
+
+        assert _uids_drawn(refused)[1] == 0
+        x = zermelo(1)
+        assert make_set([EMPTY]) is x
+        assert copy.deepcopy(x) is x and pickle.loads(pickle.dumps(x)) is x
+
 
 def _round_trip(x, protocol=pickle.DEFAULT_PROTOCOL):
     return pickle.loads(pickle.dumps(x, protocol))
@@ -810,6 +823,84 @@ class TestFoldFloor:
         assert top is h
         assert len(calls) == 10
         assert calls[-1] is h and calls[0].rank == h.rank - 9
+
+
+class TestFoldStop:
+    """A node that stop values is a leaf of the fold, as a memo key is."""
+
+    @staticmethod
+    def run(h, stopped):
+        """fold h with stop valuing the nodes in stopped; the calls of f and
+        of stop, and the memo."""
+        calls, asked, memo = [], [], {}
+
+        def f(node, vals):
+            calls.append((node, vals))
+            return len(calls)
+
+        def stop(c):
+            asked.append(c)
+            return stopped.get(c)
+
+        top = fold(h, f, memo, stop=stop)
+        return top, calls, asked, memo
+
+    def test_a_stop_node_under_a_run_is_a_leaf(self):
+        # {{{w}}} beside {{}} in x: stop is asked of {} and of w, the nodes
+        # that get frames, and f is called once per level of the run above w
+        w = make_set([vn(3), zermelo(5)])
+        x = make_set([_wrap(w, 3), zermelo(1)])
+        top, calls, asked, memo = self.run(x, {w: "w"})
+        assert asked == [EMPTY, w]
+        assert [node for node, _ in calls] == [
+            EMPTY, zermelo(1), _wrap(w, 1), _wrap(w, 2), _wrap(w, 3), x
+        ]
+        assert calls[2] == (_wrap(w, 1), ["w"])
+        assert memo[w] == "w" and top == memo[x] == 6
+
+    def test_nothing_inside_a_stop_node_enters_memo(self):
+        # {} and {{}} lie inside w too, but are reached beside it
+        w = make_set([vn(3), zermelo(5)])
+        x = make_set([_wrap(w, 3), zermelo(1)])
+        memo = self.run(x, {w: "w"})[3]
+        assert set(memo) == {x, w, EMPTY, zermelo(1), *(_wrap(w, k) for k in (1, 2, 3))}
+
+    def test_stop_is_never_asked_of_the_root(self):
+        w = make_set([vn(3), zermelo(5)])
+        top, calls, asked, memo = self.run(w, {w: "w"})
+        assert w not in asked
+        assert calls[-1][0] is w and top == memo[w] == len(calls)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(chains(30), min_size=1, max_size=4), st.data())
+    def test_a_stop_node_folds_as_a_memo_key_does(self, parts, data):
+        # stop is asked only of nodes that get frames, and a node of other
+        # than one element always gets one, so stopping such nodes makes
+        # the calls that seeding memo with them makes
+        x = make_set(parts)
+        pool = [c for c in constituents(x) if len(c.children) != 1 and c is not x]
+        keys = data.draw(st.lists(st.sampled_from(pool), max_size=3), label="keys") if pool else []
+        stopped = {k: -1 for k in keys}
+        top, calls, asked, memo = self.run(x, stopped)
+        seeded_calls = []
+        seeded = dict(stopped)
+        want = fold(x, lambda node, vals: seeded_calls.append((node, vals)) or len(seeded_calls), seeded)
+        assert (top, calls) == (want, seeded_calls)
+        assert memo == {k: v for k, v in seeded.items() if k in memo}
+        assert len(asked) == len(set(asked)) and x not in asked
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_a_run_10_to_the_5_deep_over_a_stop_node(self):
+        n = 10**5
+        w = make_set([vn(3), zermelo(5)])
+        calls = []
+        top = fold(
+            _wrap(w, n + 1),
+            lambda node, vals: calls.append(node) or vals[0] + 1,
+            {},
+            stop=lambda c: 0 if c is w else None,
+        )
+        assert top == n + 1 and len(calls) == n + 1
 
 
 class TestElements:
