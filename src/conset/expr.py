@@ -52,6 +52,17 @@ class _Token(NamedTuple):
 _PUNCT = "{}()[],;="
 
 
+def _natural(t: _Token) -> int:
+    """The value of a nat or vnat token: ExprSyntaxError at its offset when
+    it has more digits than the interpreter converts to an int."""
+    try:
+        return int(t.text)
+    except ValueError:
+        raise ExprSyntaxError(
+            f"numeral too long at offset {t.pos}: {len(t.text)} digits"
+        ) from None
+
+
 def _tokenize(src: str) -> tuple[list[_Token], dict[int, SetHandle]]:
     """Tokens of src, and the handle of each "set" token by its offset."""
     toks: list[_Token] = []
@@ -246,7 +257,7 @@ class _Parser:
                 frames.append([t.kind, t.pos, 0, []])
                 continue
             elif t.kind in ("nat", "vnat"):
-                code.append((t.kind, t.pos, int(t.text)))
+                code.append((t.kind, t.pos, _natural(t)))
             elif t.kind != "ident":
                 raise ExprSyntaxError(
                     f"expected an expression at offset {t.pos}, found"
@@ -256,10 +267,10 @@ class _Parser:
                 code.append(("diamond", t.pos, None))
             elif t.text == "P":
                 self.expect("(", "'(' after P")
-                coords = [int(self.expect("nat", "a coordinate").text)]
+                coords = [_natural(self.expect("nat", "a coordinate"))]
                 while self.peek().kind == ",":
                     self.next()
-                    coords.append(int(self.expect("nat", "a coordinate").text))
+                    coords.append(_natural(self.expect("nat", "a coordinate")))
                 self.expect(")", "')' closing position path")
                 code.append(("pospath", t.pos, coords))
             elif t.text in ("fuse", "kpair", "close"):

@@ -71,6 +71,8 @@ class SetHandle:
     Only make_set and _wrap, which intern what they build, pass the key the
     constructor asks for; any other SetHandle(children) call raises
     TypeError, so no second handle for a set is built outside the table.
+    A handle's fields can still be set from Python (h.rank = 0 is allowed);
+    this is not enforced, since a __setattr__ guard would slow every build.
     """
 
     __slots__ = ("uid", "children", "rank", "instances", "size", "_text")
@@ -116,7 +118,7 @@ class SetHandle:
     def __repr__(self) -> str:
         t = self._text
         if t is None:
-            t = _head(self) + "..." + _tail(self)
+            t = _end(self, False) + "..." + _end(self, True)
         return f"<set {t}>"
 
     def __len__(self) -> int:
@@ -233,44 +235,29 @@ def _pieces(h: SetHandle, memo: dict[SetHandle, str | None]) -> Iterator[str]:
 
 
 # A text longer than 48 characters has 22 before the end of its first (last)
-# long element, or within its short elements before that, so _head and _tail
-# enter at most one element per level and render nothing else.
+# long element, or within its short elements before that, so _end enters at
+# most one element per level and renders nothing else.  The last 22 are the
+# first 22 of the text mirrored: elements from the end, stored texts reversed.
 
 
-def _head(h: SetHandle) -> str:
-    """The first 22 characters of a text longer than 48."""
-    s = "{"
+def _end(h: SetHandle, last: bool) -> str:
+    """The first 22 characters of a text longer than 48, or the last 22."""
+    step = -1 if last else 1
+    brace = "}" if last else "{"
+    s = brace
     kids = h.children
     while len(s) < 22:
-        for c in kids:
+        for c in kids[::step]:
             t = c._text
             if t is None:
-                s += "{"
+                s += brace
                 kids = c.children
                 break
-            s += t
+            s += t[::step]
             if len(s) >= 22:
                 break
             s += ","
-    return s[:22]
-
-
-def _tail(h: SetHandle) -> str:
-    """The last 22 characters of a text longer than 48."""
-    s = "}"
-    kids = h.children
-    while len(s) < 22:
-        for c in reversed(kids):
-            t = c._text
-            if t is None:
-                s = "}" + s
-                kids = c.children
-                break
-            s = t + s
-            if len(s) >= 22:
-                break
-            s = "," + s
-    return s[-22:]
+    return s[:22][::step]
 
 
 # A one-element set is keyed by its element.  Any other set is keyed by the
@@ -531,73 +518,71 @@ def fold(
     memo, and memo[h] is returned.  The walk keeps its own stack, so depth is
     not limited by the interpreter's recursion limit.  A run of one-element
     sets below a node, such as a successor chain, is walked down in one loop
-    and folded back up in another, with one stack entry for the whole run,
-    not one per level.  Each level of a run ranks one below the last, so the
-    levels left above the floor are counted, not read off each rank.  When f
-    is _rebuild, the run is rebuilt by _wrap, with no call per level; memo
-    still gets every level, since a level inside the run can also be reached
-    from elsewhere in h.
+    and folded back up by _fold_run, with one stack entry for the whole run,
+    not one per level; the walk down stops at a level whose element is in
+    memo or ranked at or below floor.  When f is _rebuild, the run is rebuilt
+    by _wrap, with no call per level; memo still gets every level, since a
+    level inside the run can also be reached from elsewhere in h.
 
     stop, when given, is asked of each node fold would push a frame for: not
     of h, nor of the levels of a run above such a node.  A value other than
     None makes the node a leaf with that value, inside which nothing is
-    visited or stored, and the run above it is folded at once, one f call
-    per level.  stop is not combined with _rebuild.
+    visited or stored, and the run above it is folded at once.
     """
     if h not in memo:
         if h.rank <= floor:
             return h
         value = memo.__getitem__
-        # an entry is (node, children to visit, the run of singletons above node)
-        stack = [(h, iter(h.children), None)]
+        # an entry is (node, children to visit, the top of the run above node)
+        stack = [(h, iter(h.children), h)]
         while stack:
-            node, todo, above = stack[-1]
+            node, todo, top = stack[-1]
             for c in todo:
                 if c in memo:
                     continue
                 if c.rank <= floor:
                     memo[c] = c
                     continue
+                # walk down to the first node that needs a frame: a singleton
+                # whose element is in memo or at the floor, or a non-singleton
+                run = c
                 kids = c.children
-                run = None
-                if len(kids) == 1 and kids[0] not in memo and c.rank > floor + 1:
-                    # walk down the run to the first node that needs a frame
-                    # of its own: a singleton whose element is in memo or at
-                    # the floor, or a node that is not a singleton; n counts
-                    # the levels left above the floor
-                    run = [c]
+                while len(kids) == 1 and kids[0] not in memo and kids[0].rank > floor:
                     c = kids[0]
                     kids = c.children
-                    n = c.rank - floor - 1
-                    while n and len(kids) == 1 and kids[0] not in memo:
-                        run.append(c)
-                        c = kids[0]
-                        kids = c.children
-                        n -= 1
                 if stop is not None and (v := stop(c)) is not None:
-                    # a leaf has no frame, so its run is folded here as the
-                    # pass below folds a frame's, less the _rebuild case
+                    # a leaf has no frame, so its run is folded here
                     memo[c] = v
-                    for r in reversed(run or ()):
-                        v = memo[r] = f(r, [v])
+                    if run is not c:
+                        _fold_run(run, c, v, f, memo)
                     continue
                 stack.append((c, iter(kids), run))
                 break
             else:
                 stack.pop()
                 v = memo[node] = f(node, [*map(value, node.children)])
-                if above is None:
-                    continue
-                if f is _rebuild:
-                    # above lists the run top first; _wrap builds it bottom up
-                    v = _wrap(len(above), v)
-                    for r in above:
-                        memo[r] = v
-                        v = v.children[0]
-                else:
-                    for r in reversed(above):
-                        v = memo[r] = f(r, [v])
+                if top is not node:
+                    _fold_run(top, node, v, f, memo)
     return memo[h]
+
+
+def _fold_run(top: SetHandle, node: SetHandle, v: T, f: Callable, memo: dict) -> None:
+    """Store in memo fold's value of each level of the run of singletons
+    from top down to node, node left out, where node's value is v."""
+    if f is _rebuild:
+        # each level ranks one above the next; _wrap builds them bottom up
+        v = _wrap(top.rank - node.rank, v)
+        while top is not node:
+            memo[top] = v
+            top = top.children[0]
+            v = v.children[0]
+    else:
+        run = []
+        while top is not node:
+            run.append(top)
+            top = top.children[0]
+        for r in reversed(run):
+            v = memo[r] = f(r, [v])
 
 
 def _encode(h: SetHandle) -> list[int]:

@@ -558,8 +558,9 @@ def graph_from_json(text: str) -> StructureGraph:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise MalformedGraph(f"not JSON: {e}") from e
+    except (ValueError, RecursionError) as e:
+        # ValueError covers a JSONDecodeError and an int over the digit limit
+        raise MalformedGraph(f"unreadable JSON: {e}") from e
     if not isinstance(obj, dict) or not {"vertices", "edges", "top", "bottom"} <= obj.keys():
         raise MalformedGraph("expected an object with vertices, edges, top and bottom")
     vertices, edges = obj["vertices"], obj["edges"]

@@ -1,10 +1,16 @@
-"""Deterministic diagram shapes for the structure tests and the scale checks."""
+"""Shapes shared by the test modules: deterministic diagrams for the
+structure tests and the scale checks, and sets drawn or built for the kernel
+and algebra tests, with the helpers that count the handles an operation
+makes."""
 from __future__ import annotations
 
+import itertools
 import random
 
+from hypothesis import strategies as st
+
 from _oracles import permute_graph
-from conset import StructureGraph
+from conset import StructureGraph, empty, kernel, make_set
 
 
 def shuffled(g: StructureGraph, rng: random.Random) -> StructureGraph:
@@ -106,3 +112,55 @@ def layered_dag(seed: int) -> StructureGraph:
     return StructureGraph(
         tags=(None,) * n, edges=tuple(sorted(edges)), top=n - 1, bottom=0
     )
+
+
+def handles(max_width: int = 3):
+    """Hypothesis strategy producing interned set handles."""
+    return st.recursive(
+        st.just(empty()),
+        lambda inner: st.lists(inner, max_size=max_width).map(make_set),
+        max_leaves=25,
+    )
+
+
+def _wrap(h, depth: int):
+    """h inside depth one-element sets."""
+    for _ in range(depth):
+        h = make_set([h])
+    return h
+
+
+def chains(max_depth: int = 1500):
+    """A small random set wrapped in up to max_depth singletons."""
+    return st.tuples(handles(), st.integers(0, max_depth)).map(lambda hd: _wrap(*hd))
+
+
+def _ackermann(k: int):
+    """The set coded by k: its elements are the sets coded by k's one bits."""
+    return make_set(_ackermann(i) for i in range(k.bit_length()) if k >> i & 1)
+
+
+def fans(max_width: int = 200):
+    """A set of up to max_width distinct small random sets.
+
+    Distinct codes give distinct sets, so the width is exactly the number of
+    codes drawn.
+    """
+    codes = st.integers(0, max_width).flatmap(
+        lambda n: st.sets(st.integers(0, 2**12 - 1), min_size=n, max_size=n)
+    )
+    return codes.map(lambda ks: make_set(map(_ackermann, ks)))
+
+
+def _fresh():
+    """A set never made before: the singleton of the newest handle."""
+    handles = itertools.chain(kernel._table.values(), kernel._single.values())
+    return make_set([max(handles, key=lambda h: h.uid)])
+
+
+def _uids_drawn(op):
+    """op() and the number of uids it drew: one for each handle it made."""
+    ids = kernel._ids
+    before = next(ids)
+    result = op()
+    return result, next(ids) - before - 1

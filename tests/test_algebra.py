@@ -5,6 +5,7 @@ import pytest
 
 import _oracles as oracles
 from _oracles import oracle
+from _shapes import _fresh, _uids_drawn, _wrap
 import conset.algebra
 from conset import (
     EmptyHasNoMaximal,
@@ -38,7 +39,6 @@ from conset import (
 from conset.kernel import _rebuild, fold
 from conset.numerals import as_vn, vn, zermelo
 from conset.tuples import make_tuple, position, position_path
-from test_kernel import _fresh, _uids_drawn, _wrap
 
 
 class TestReplace:

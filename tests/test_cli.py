@@ -59,6 +59,14 @@ class TestEval:
         assert (code, out) == (EXIT_SYNTAX, "")
         assert err.startswith("syntax error: ")
 
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int digit limit")
+    @pytest.mark.parametrize("form", ["{}", "V{}", "P({})"])
+    def test_numeral_past_the_int_digit_limit_exits_3(self, capsys, form):
+        src = form.format("1" * (sys.get_int_max_str_digits() + 1))
+        code, out, err = run(capsys, "eval", src)
+        assert (code, out) == (EXIT_SYNTAX, "")
+        assert err.startswith("syntax error: numeral too long at offset ")
+
 
 class TestCanonCardConstituentsInstances:
     def test_canon_normalizes(self, capsys):

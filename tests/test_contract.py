@@ -272,6 +272,12 @@ class TestBoundaryCases:
             '{"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, "1"]], "top": 1, "bottom": 0}',
             '{"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]], "top": 1.0, "bottom": 0}',
             '{"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 5]], "top": 1, "bottom": 0}',
+            pytest.param("[" * 10**5 + "]" * 10**5, id="nested-past-the-recursion-limit"),
+            pytest.param(
+                '{"vertices": [], "edges": [], "top": 1%s, "bottom": 0}'
+                % ("0" * sys.get_int_max_str_digits()),
+                id="an-int-past-the-digit-limit",
+            ),
         ],
     )
     def test_malformed_json(self, text):

@@ -7,6 +7,7 @@ pin the translation, not the primitives themselves.
 
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,14 @@ class TestErrors:
         # "²" passes str.isdigit, yet int() rejects it
         with pytest.raises(ExprSyntaxError, match="unexpected character"):
             evaluate("²")
+
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no int digit limit")
+    @pytest.mark.parametrize("form, offset", [("{}", 0), ("V{}", 0), ("P(0, {})", 5)])
+    def test_numeral_past_the_int_digit_limit(self, form, offset):
+        # int() refuses it, so the literal is a syntax error at its offset
+        src = form.format("1" * (sys.get_int_max_str_digits() + 1))
+        with pytest.raises(ExprSyntaxError, match=f"^numeral too long at offset {offset}: "):
+            evaluate(src)
 
     def test_trailing_input(self):
         with pytest.raises(ExprSyntaxError, match="trailing input"):

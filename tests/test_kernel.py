@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import copy
-import itertools
 import os
 import pickle
 import random
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracles
 from _oracles import oracle
+from _shapes import _fresh, _uids_drawn, _wrap, chains, fans, handles
 import conset
 from conset import (
     MalformedText,
@@ -38,47 +38,9 @@ from conset import (
     to_text,
     union,
 )
-from conset.kernel import EMPTY, _shortlex, fold
+from conset.kernel import EMPTY, _rebuild, _shortlex, fold
 from conset.numerals import vn, zermelo
 from conset.tuples import diamond
-
-
-def handles(max_width: int = 3):
-    """Hypothesis strategy producing interned set handles."""
-    return st.recursive(
-        st.just(empty()),
-        lambda inner: st.lists(inner, max_size=max_width).map(make_set),
-        max_leaves=25,
-    )
-
-
-def _wrap(h, depth: int):
-    """h inside depth one-element sets."""
-    for _ in range(depth):
-        h = make_set([h])
-    return h
-
-
-def chains(max_depth: int = 1500):
-    """A small random set wrapped in up to max_depth singletons."""
-    return st.tuples(handles(), st.integers(0, max_depth)).map(lambda hd: _wrap(*hd))
-
-
-def _ackermann(k: int):
-    """The set coded by k: its elements are the sets coded by k's one bits."""
-    return make_set(_ackermann(i) for i in range(k.bit_length()) if k >> i & 1)
-
-
-def fans(max_width: int = 200):
-    """A set of up to max_width distinct small random sets.
-
-    Distinct codes give distinct sets, so the width is exactly the number of
-    codes drawn.
-    """
-    codes = st.integers(0, max_width).flatmap(
-        lambda n: st.sets(st.integers(0, 2**12 - 1), min_size=n, max_size=n)
-    )
-    return codes.map(lambda ks: make_set(map(_ackermann, ks)))
 
 
 class TestEmpty:
@@ -179,13 +141,6 @@ class TestPickle:
         )
         a, b = pickle.loads(out.stdout)
         assert a is b is parse(text)
-
-
-def _fresh():
-    """A set never made before: the singleton of the newest handle."""
-    kernel = conset.kernel
-    handles = itertools.chain(kernel._table.values(), kernel._single.values())
-    return make_set([max(handles, key=lambda h: h.uid)])
 
 
 class TestInternKey:
@@ -484,7 +439,14 @@ class TestTextOnDemand:
             assert h.text == oracles.text_by_recursion(h)
 
     def test_repr_shows_head_and_tail(self, corpus1000):
-        for h in corpus1000 + [vn(k) for k in range(10)]:
+        # runs, runs over wide nodes, and runs beside runs: shapes whose
+        # head and tail both cross many levels, which the corpus never has
+        wide = make_set([zermelo(30), vn(4), vn(5), _wrap(vn(3), 9)])
+        runs = [zermelo(k) for k in range(25, 61)] + [_wrap(wide, k) for k in range(0, 40, 3)]
+        beside = [
+            make_set([_wrap(vn(3), k), zermelo(j)]) for k in range(0, 30, 3) for j in range(0, 60, 7)
+        ]
+        for h in corpus1000 + [vn(k) for k in range(10)] + runs + beside:
             t = h.text
             shown = t if len(t) <= 48 else t[:22] + "..." + t[-22:]
             assert repr(h) == f"<set {shown}>"
@@ -506,14 +468,6 @@ class TestTextOnDemand:
         monkeypatch.undo()
         assert texts == [c.text for c in hs]
         assert sorted(joined, key=id) == sorted({c for c in hs if c.size > 48}, key=id)
-
-
-def _uids_drawn(op):
-    """op() and the number of uids it drew: one for each handle it made."""
-    ids = conset.kernel._ids
-    before = next(ids)
-    result = op()
-    return result, next(ids) - before - 1
 
 
 class TestRuns:
@@ -888,6 +842,21 @@ class TestFoldStop:
         assert (top, calls) == (want, seeded_calls)
         assert memo == {k: v for k, v in seeded.items() if k in memo}
         assert len(asked) == len(set(asked)) and x not in asked
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(chains(30), min_size=1, max_size=4), handles(), st.data())
+    def test_a_stop_node_rebuilds_as_a_memo_key_does(self, parts, z, data):
+        # with _rebuild, the run above a stop node is rebuilt as the run
+        # above a memo key is
+        x = make_set(parts)
+        pool = [c for c in constituents(x) if len(c.children) != 1 and c is not x]
+        keys = data.draw(st.lists(st.sampled_from(pool), max_size=3), label="keys") if pool else []
+        stopped = {k: z for k in keys}
+        memo: dict = {}
+        top = fold(x, _rebuild, memo, stop=stopped.get)
+        seeded = dict(stopped)
+        assert top is fold(x, _rebuild, seeded)
+        assert memo == {k: v for k, v in seeded.items() if k in memo}
 
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_a_run_10_to_the_5_deep_over_a_stop_node(self):

@@ -1,5 +1,6 @@
 """The text oracle checked on tiny inputs against answers written by hand,
-and its independence from the library pinned by reading the imports."""
+and its independence from the library pinned by reading the imports, as is
+the independence of the test modules from one another."""
 from __future__ import annotations
 
 import ast
@@ -108,3 +109,19 @@ def test_oracles_take_only_handles_and_graphs_from_the_library():
     assert _conset_imports(ROOT / "tests" / "_oracles.py") <= allowed
     assert _conset_imports(ROOT / "perfbench" / "oracle.py") == set()
     assert Path(oracle.__file__).resolve() == (ROOT / "perfbench" / "oracle.py").resolve()
+
+
+def test_no_test_module_imports_another():
+    # shared helpers live in _shapes and _oracles, so that each test module
+    # can be run, moved or deleted on its own
+    found = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.startswith("test_")]
+    assert found == []
