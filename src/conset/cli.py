@@ -62,13 +62,17 @@ def _structure_text(g) -> str:
 
 
 def _parse_path(text: str) -> list[int]:
-    try:
-        coords = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ExprSyntaxError(f"malformed path {text!r}: expected naturals separated by commas")
-    if not coords or any(c < 0 for c in coords):
+    """The coordinates of a path, each read as P(...) reads one: decimal
+    digits, with blanks around them."""
+    parts = [part.strip(" \t\r") for part in text.split(",")]
+    if all(p.isdecimal() for p in parts):
+        try:
+            return [int(p) for p in parts]
+        except ValueError:
+            pass  # more digits than the interpreter converts to an int
+    elif all(p.removeprefix("-").isdecimal() for p in parts):
         raise ExprSyntaxError(f"malformed path {text!r}: coordinates must be naturals")
-    return coords
+    raise ExprSyntaxError(f"malformed path {text!r}: expected naturals separated by commas")
 
 
 def _budget(text: str) -> int:

@@ -4,9 +4,7 @@ A top structure leaves numbered slots (position markers) open at its bottom; a
 bottom structure carries numbered branches, each wrapped as a numbered branch
 marker; fusion joins them by one simultaneous substitution of every slot by
 its branch.  Both kinds of marker are built and read through conset.tuples,
-which owns their format.  This module knows one thing of a slot's shape:
-_read's fold stops at slots, and asks _slot about a node only when it has
-two elements, the first a singleton.
+which owns their format.
 
 Middle structures are both at once.  Call a middle wired when part n is
 the branch marker n over compose(e_n, P_s(n)), for entries e and a
@@ -130,14 +128,12 @@ def _read(h: SetHandle) -> tuple[dict[int, SetHandle], list[SetHandle]]:
     The fold stops at slots, which never nest; it never asks stop about its
     root, so h is tested here first.  What lies inside the slots is read
     afterwards, and only when some node reached holds no slot, since a node
-    that holds one lies inside none.  A slot has two elements and the first
-    is a singleton, so most nodes are passed over before _slot reads them.
+    that holds one lies inside none.
     """
     slots: dict[int, SetHandle] = {}
 
     def slot(c: SetHandle) -> bool | None:
-        kids = c.children
-        if len(kids) == 2 and len(kids[0].children) == 1 and (n := _slot(c)) is not None:
+        if (n := _slot(c)) is not None:
             slots[n] = c
             return True
         return None

@@ -62,7 +62,9 @@ class SetHandle:
     more than the tallest element.  instances is the number of subterm
     occurrences: one for the set plus the instances of each element.  size is
     the length of the canonical text: 2 for {}, otherwise the braces, the
-    commas and the sizes of the elements.
+    commas and the sizes of the elements.  uid numbers the handles in the
+    order they were made; nothing in the library reads it, and it is kept
+    only for perfbench, whose tracer counts new handles by it.
 
     A handle is the one handle of its set, so copy.copy and copy.deepcopy
     give it back, and pickle.loads(pickle.dumps(h)) is h: a handle pickles
@@ -517,26 +519,28 @@ def fold(
     it; the default, -1, prunes nothing.  Every computed value is stored in
     memo, and memo[h] is returned.  The walk keeps its own stack, so depth is
     not limited by the interpreter's recursion limit.  A run of one-element
-    sets below a node, such as a successor chain, is walked down in one loop
-    and folded back up by _fold_run, with one stack entry for the whole run,
-    not one per level; the walk down stops at a level whose element is in
-    memo or ranked at or below floor.  When f is _rebuild, the run is rebuilt
-    by _wrap, with no call per level; memo still gets every level, since a
-    level inside the run can also be reached from elsewhere in h.
+    sets below a node, such as a successor chain, is walked down once, in
+    one loop, to the first level whose element is in memo or ranked at or
+    below floor.  Its levels are kept in the frame of the node below them,
+    one stack entry for the whole run, and folded up when that frame pops:
+    by one f call per level, or by _wrap when f is _rebuild; memo still gets
+    every level, since one can also be reached from elsewhere in h.
 
     stop, when given, is asked of each node fold would push a frame for: not
     of h, nor of the levels of a run above such a node.  A value other than
     None makes the node a leaf with that value, inside which nothing is
-    visited or stored, and the run above it is folded at once.
+    visited or stored; when a run lies above it, the leaf gets a frame that
+    visits nothing, so that run is folded up where every other run is.
     """
     if h not in memo:
         if h.rank <= floor:
             return h
         value = memo.__getitem__
-        # an entry is (node, children to visit, the top of the run above node)
-        stack = [(h, iter(h.children), h)]
+        # a frame is (node, children to visit, the levels of the run above
+        # node from the top down or None, node's value when stop gave one)
+        stack = [(h, iter(h.children), None, None)]
         while stack:
-            node, todo, top = stack[-1]
+            node, todo, run, v = stack[-1]
             for c in todo:
                 if c in memo:
                     continue
@@ -544,45 +548,42 @@ def fold(
                     memo[c] = c
                     continue
                 # walk down to the first node that needs a frame: a singleton
-                # whose element is in memo or at the floor, or a non-singleton
-                run = c
+                # whose element is in memo or at the floor, or a non-singleton;
+                # the levels passed on the way are that frame's run
+                levels = None
                 kids = c.children
                 while len(kids) == 1 and kids[0] not in memo and kids[0].rank > floor:
+                    if levels is None:
+                        levels = [c]
+                    else:
+                        levels.append(c)
                     c = kids[0]
                     kids = c.children
-                if stop is not None and (v := stop(c)) is not None:
-                    # a leaf has no frame, so its run is folded here
-                    memo[c] = v
-                    if run is not c:
-                        _fold_run(run, c, v, f, memo)
-                    continue
-                stack.append((c, iter(kids), run))
+                if stop is not None and (leaf := stop(c)) is not None:
+                    memo[c] = leaf
+                    if levels is None:
+                        continue
+                    # a frame that visits nothing folds up the run above it
+                    stack.append((c, iter(()), levels, leaf))
+                else:
+                    stack.append((c, iter(kids), levels, None))
                 break
             else:
                 stack.pop()
-                v = memo[node] = f(node, [*map(value, node.children)])
-                if top is not node:
-                    _fold_run(top, node, v, f, memo)
+                if v is None:
+                    v = memo[node] = f(node, [*map(value, node.children)])
+                if run is not None:
+                    if f is _rebuild:
+                        # each level ranks one above the next; _wrap
+                        # builds them bottom up
+                        v = _wrap(len(run), v)
+                        for r in run:
+                            memo[r] = v
+                            v = v.children[0]
+                    else:
+                        for r in reversed(run):
+                            v = memo[r] = f(r, [v])
     return memo[h]
-
-
-def _fold_run(top: SetHandle, node: SetHandle, v: T, f: Callable, memo: dict) -> None:
-    """Store in memo fold's value of each level of the run of singletons
-    from top down to node, node left out, where node's value is v."""
-    if f is _rebuild:
-        # each level ranks one above the next; _wrap builds them bottom up
-        v = _wrap(top.rank - node.rank, v)
-        while top is not node:
-            memo[top] = v
-            top = top.children[0]
-            v = v.children[0]
-    else:
-        run = []
-        while top is not node:
-            run.append(top)
-            top = top.children[0]
-        for r in reversed(run):
-            v = memo[r] = f(r, [v])
 
 
 def _encode(h: SetHandle) -> list[int]:

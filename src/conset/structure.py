@@ -513,13 +513,13 @@ def to_dot(g: StructureGraph) -> str:
     _, _, level = _diagram(g)
     lines = ["digraph constituent_structure {", "  rankdir=BT;", "  node [shape=box];"]
     texts: dict[SetHandle, str] = {}
-    for lvl in range(max(level) + 1):
-        members = [v for v in range(g.n) if level[v] == lvl]
-        decls = []
-        for v in members:
-            label = to_text(g.tags[v], texts) if g.tags[v] is not None else f"v{v}"
-            decls.append(f'v{v} [label="{label}"]')
-        lines.append("  { rank=same; " + "; ".join(decls) + "; }")
+    # one pass over the vertices, in order, groups the declarations by level
+    decls: list[list[str]] = [[] for _ in range(max(level) + 1)]
+    for v in range(g.n):
+        label = to_text(g.tags[v], texts) if g.tags[v] is not None else f"v{v}"
+        decls[level[v]].append(f'v{v} [label="{label}"]')
+    for members in decls:
+        lines.append("  { rank=same; " + "; ".join(members) + "; }")
     for a, b in g.edges:
         lines.append(f"  v{a} -> v{b};")
     lines.append("}")

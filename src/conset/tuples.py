@@ -136,19 +136,14 @@ def position_path(coords: Sequence[int]) -> SetHandle:
     """
     if not coords:
         raise ValueError("a position path needs at least one coordinate")
-    marker = EMPTY
-    try:
-        for c in reversed(coords):
-            marker = _pad(_wrap(c, marker))
-        return marker
-    except (TypeError, ValueError) as e:
-        refused = e
-    # _wrap refused a coordinate without naming it: name the first bad one
     for i, c in enumerate(coords):
         _require_int(c, "a path coordinate")
         if c < 0:
             raise ValueError(f"path coordinate {i} is {c}: numerals are non-negative")
-    raise refused
+    marker = EMPTY
+    for c in reversed(coords):
+        marker = _pad(_wrap(c, marker))
+    return marker
 
 
 def make_tuple(entries: Sequence[SetHandle]) -> SetHandle:

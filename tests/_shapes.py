@@ -153,14 +153,18 @@ def fans(max_width: int = 200):
 
 
 def _fresh():
-    """A set never made before: the singleton of the newest handle."""
-    handles = itertools.chain(kernel._table.values(), kernel._single.values())
-    return make_set([max(handles, key=lambda h: h.uid)])
+    """A set never made before: the singleton of a handle that has none.
+
+    The tallest handle has none, so the newest singletons are tried first.
+    """
+    single = kernel._single
+    handles = itertools.chain(reversed(single.values()), reversed(kernel._table.values()))
+    return make_set([next(h for h in handles if h not in single)])
 
 
 def _uids_drawn(op):
-    """op() and the number of uids it drew: one for each handle it made."""
-    ids = kernel._ids
-    before = next(ids)
+    """op() and the number of handles it made: every handle is interned
+    exactly once, so that is how much the two intern tables grew."""
+    before = len(kernel._table) + len(kernel._single)
     result = op()
-    return result, next(ids) - before - 1
+    return result, len(kernel._table) + len(kernel._single) - before

@@ -186,6 +186,20 @@ def test_deep_diagram_read_back_from_json():
         """, stdin=diagram, timeout=20)
 
 
+def test_long_chain_diagram_to_dot():
+    # a chain of 10^5 covering edges has 10^5 + 1 levels; its declarations
+    # are grouped by level in one pass over the vertices, not one per level
+    python("""
+        from conset.structure import chain_graph, to_dot
+        n = 10**5
+        lines = to_dot(chain_graph(n)).splitlines()
+        assert len(lines) == 3 + (n + 1) + n + 1
+        assert lines[3] == '  { rank=same; v0 [label="v0"]; }'
+        assert lines[3 + n] == f'  {{ rank=same; v{n} [label="v{n}"]; }}'
+        assert lines[-2] == f'  v{n - 1} -> v{n};'
+        """, timeout=20)
+
+
 def test_wide_certificate_searches():
     # a CFI pair over a 16-vertex 3-regular base (n = 210) is decided both
     # ways, and a fan of 100 two-vertex branches gets the certificate of a

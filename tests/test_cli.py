@@ -18,10 +18,11 @@ import conset
 from conset import cli, compose, constituents, make_set
 from conset.cli import EXIT_DOMAIN, EXIT_FALSE, EXIT_OK, EXIT_SYNTAX, main
 from conset.corpus import generate
+from conset.errors import ExprSyntaxError
 from conset.expr import evaluate
 from conset.numerals import vn, zermelo
 from conset.structure import structure_of, to_dot, to_json
-from conset.tuples import diamond, get_at
+from conset.tuples import diamond, get_at, position_path
 
 GOLDEN = Path(__file__).parent / "golden"
 Z = zermelo
@@ -189,6 +190,30 @@ class TestTuple:
         code, out, err = run(capsys, "tuple", "get", "(1, 2)", "-1")
         assert (code, out) == (EXIT_SYNTAX, "")
         assert err == "syntax error: malformed path '-1': coordinates must be naturals\n"
+
+    @pytest.mark.parametrize("path", ["1_0", "+1", "1 0", "1\n", "0x1", ""])
+    def test_coordinate_that_p_refuses_is_syntax_error(self, capsys, path):
+        # a coordinate is read as P(...) reads one, so 1_0 is not slot 10
+        with pytest.raises(ExprSyntaxError):
+            evaluate(f"P({path})")
+        code, out, err = run(capsys, "tuple", "get", "(1, 2)", path)
+        assert (code, out) == (EXIT_SYNTAX, "")
+        want = f"syntax error: malformed path {path!r}: expected naturals separated by commas\n"
+        assert err == want
+
+    @pytest.mark.parametrize("path", ["1,-1", "-0"])
+    def test_any_negative_coordinate_keeps_its_message(self, capsys, path):
+        code, _, err = run(capsys, "tuple", "has", "(1, 2)", path)
+        assert code == EXIT_SYNTAX
+        assert err == f"syntax error: malformed path {path!r}: coordinates must be naturals\n"
+
+    @pytest.mark.parametrize("path", [" 1 ", "\t1 ,\r0"])
+    def test_blanks_around_a_coordinate_are_read_as_p_reads_them(self, capsys, path):
+        t = "((1, 2), 3)"
+        coords = [int(c) for c in path.split(",")]
+        want = get_at(evaluate(t), coords).text + "\n"
+        assert evaluate(f"P({path})") is position_path(coords)
+        assert run(capsys, "tuple", "get", t, path)[:2] == (EXIT_OK, want)
 
 
 class TestNum:

@@ -670,6 +670,34 @@ class TestFold:
         got, want = self.both(x, {k: -1 for k in keys})
         assert got == want
 
+    @pytest.mark.parametrize("stopped", [False, True])
+    def test_a_run_is_walked_once(self, stopped):
+        # a generic fold reads each level's children once, on the way down,
+        # whether the run ends in a frame or in a stop node
+        class Node:
+            """A stand-in for a handle that counts the reads of children."""
+
+            def __init__(self, *kids):
+                self.kids = kids
+                self.rank = 1 + max((k.rank for k in kids), default=-1)
+                self.reads = 0
+
+            @property
+            def children(self):
+                self.reads += 1
+                return self.kids
+
+        leaf = Node()
+        base = Node(leaf, Node(leaf))
+        levels = [Node(base)]
+        for _ in range(29):
+            levels.append(Node(levels[-1]))
+        root = Node(levels[-1], leaf)
+        stop = (lambda c: "base" if c is base else None) if stopped else None
+        top = fold(root, lambda node, vals: len(vals), {}, stop=stop)
+        assert top == 2
+        assert [lv.reads for lv in levels] == [1] * 30
+
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_replace_in_a_chain_10_to_the_5_deep(self):
         n = 10**5
@@ -706,7 +734,7 @@ class TestFoldFloor:
         unpruned fold seeded with each node at or below floor as itself."""
         def f(node, vals):
             calls.append(node)
-            return node.uid, tuple(vals)
+            return node, tuple(vals)
 
         calls = []
         memo = dict(start)

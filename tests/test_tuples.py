@@ -489,7 +489,8 @@ class TestExtractionAboveTheMarker:
         )
         assert get_at(t, [1, 1]) is vn(3)
         above = [c for c in constituents(t) if c.rank > marker.rank]
-        assert sorted(computed, key=lambda c: c.uid) == sorted(above, key=lambda c: c.uid)
+        by_text = conset.kernel._shortlex
+        assert sorted(computed, key=by_text) == sorted(above, key=by_text)
         assert len(computed) == 21
         assert len(constituents(t)) == 45
 
